@@ -1,18 +1,17 @@
 //! The thread-safe audit engine with MVCC snapshot reads.
 //!
-//! An [`AuditEngine`] owns a [`ProvenanceStore`] (the durable log) and a
-//! versioned registry of named, pre-compiled policy patterns (see
-//! [`crate::registry`]) — but audit queries never touch the store or its
-//! reader-writer lock.  Instead, the ingest
-//! path publishes an immutable [`EngineSnapshot`] (`Arc`'d record chunks +
-//! a structurally shared [`piprov_store::SharedStoreIndex`] + a sequence
-//! watermark) once per applied batch, and [`AuditEngine::handle`] answers
-//! every request from the snapshot current at its start.  Ingest can no
-//! longer starve readers: however large the batch being applied, auditors
-//! keep answering from the previously published snapshot, and pay only a
-//! snapshot load to reach it — an `Arc` clone under a latch held for the
-//! pointer operation alone (see [`crate::snapshot`]), never for the
-//! duration of a batch.
+//! An [`AuditEngine`] owns a [`SegmentLog`] (the durable log, with no
+//! in-memory copy of the records) and a versioned registry of named,
+//! pre-compiled policy patterns (see [`crate::registry`]).  Its only
+//! in-memory read model is the published [`EngineSnapshot`]: persistent
+//! record and index structures plus a sequence watermark, extended once
+//! per applied batch at O(batch · log n) cost and swapped in with one
+//! pointer store.  [`AuditEngine::handle`] answers every request from the
+//! snapshot current at its start.  Ingest cannot starve readers: however
+//! large the batch being applied, auditors keep answering from the
+//! previously published snapshot, and pay only a snapshot load to reach
+//! it — an `Arc` clone under a latch held for the pointer operation alone
+//! (see [`crate::snapshot`]), never for the duration of a batch.
 //!
 //! # Consistency contract
 //!
@@ -21,8 +20,8 @@
 //!   batch: a response mentions either none of a batch's records or all
 //!   of the ones relevant to it, and never a record above its snapshot's
 //!   watermark.
-//! * **Monotone watermarks** — publications are ordered by the store's
-//!   write lock, so the watermark carried by every [`AuditResponse`] is
+//! * **Monotone watermarks** — publications are ordered by the log's
+//!   lock, so the watermark carried by every [`AuditResponse`] is
 //!   non-decreasing across any sequence of requests to one engine.
 //! * **Read-your-writes** — [`AuditEngine::ingest_batch`] publishes
 //!   before it returns: a caller that observes the returned sequence
@@ -49,12 +48,14 @@ use crate::request::{AuditOutcome, AuditRequest, AuditResponse, RequestStats};
 use crate::snapshot::{EngineSnapshot, SnapshotCell};
 use piprov_patterns::{CompiledPattern, MatchStats, MemoStats, Pattern};
 use piprov_policy::PolicyPack;
-use piprov_store::{ProvenanceRecord, ProvenanceStore, SequenceNumber, StoreError, StoreStats};
+use piprov_store::{
+    ProvenanceRecord, ProvenanceStore, SegmentLog, SequenceNumber, StoreError, StoreStats,
+};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 /// Configuration of an [`AuditEngine`].
@@ -85,12 +86,12 @@ pub struct EngineStats {
     pub vets_passed: u64,
     /// Vet requests that answered `false`.
     pub vets_failed: u64,
-    /// Posting-list entries supplied by the store indexes, summed over
+    /// Posting-list entries supplied by the snapshot indexes, summed over
     /// all requests.
     pub index_hits: u64,
     /// Pattern-memo hits, summed over all vet requests.
     pub memo_hits: u64,
-    /// Ingest batches applied (each under a single write-lock
+    /// Ingest batches applied (each under a single log-lock
     /// acquisition); single-record [`AuditEngine::ingest`] calls count as
     /// one-record batches.
     pub ingest_batches: u64,
@@ -164,8 +165,8 @@ impl fmt::Display for EngineStats {
 #[derive(Debug)]
 pub struct AuditEngine {
     /// The durable log.  Writers only: audit queries answer from the
-    /// published snapshot and never acquire this lock in any mode.
-    store: RwLock<ProvenanceStore>,
+    /// published snapshot and never acquire this lock.
+    log: Mutex<SegmentLog>,
     /// The published [`EngineSnapshot`] every query reads.
     snapshot: SnapshotCell,
     /// The versioned policy registry.  Requests load one immutable
@@ -207,12 +208,14 @@ impl AuditEngine {
         AuditEngine::with_config(store, AuditConfig::default())
     }
 
-    /// Wraps an already-open store with an explicit configuration.
+    /// Wraps an already-open store with an explicit configuration: the
+    /// engine keeps the store's log and publishes its read model as the
+    /// first snapshot.
     pub fn with_config(store: ProvenanceStore, config: AuditConfig) -> Self {
-        let recovered = EngineSnapshot::from_records(store.iter().cloned().collect());
+        let (log, records, index) = store.into_parts();
         AuditEngine {
-            store: RwLock::new(store),
-            snapshot: SnapshotCell::new(recovered),
+            log: Mutex::new(log),
+            snapshot: SnapshotCell::new(EngineSnapshot::from_parts(records, index)),
             registry: PolicyRegistry::new(),
             config,
             metrics: MetricsRegistry::new(),
@@ -374,22 +377,23 @@ impl AuditEngine {
             .map(|entry| entry.compiled.memo_stats())
     }
 
-    /// Appends one record to the store and publishes it (a one-record
+    /// Appends one record to the log and publishes it (a one-record
     /// batch).
     ///
     /// # Errors
     ///
-    /// Propagates store append failures.
+    /// Propagates log append failures.
     pub fn ingest(&self, record: ProvenanceRecord) -> Result<SequenceNumber, StoreError> {
         let sequences = self.ingest_batch(vec![record])?;
         Ok(*sequences.first().expect("one record in, one sequence out"))
     }
 
-    /// Appends a whole batch under **one** write-lock acquisition and
+    /// Appends a whole batch under **one** log-lock acquisition and
     /// publishes **one** snapshot for it, so a burst of ingest pays for
     /// the append lock and the publication once per batch instead of once
     /// per record — and readers observe the batch atomically (all of it
-    /// or none of it), never a torn prefix.
+    /// or none of it), never a torn prefix.  The records move into the
+    /// snapshot; none is copied.
     ///
     /// Publication happens before this method returns: read-your-writes
     /// holds for the returned sequence numbers.
@@ -400,7 +404,7 @@ impl AuditEngine {
     ///
     /// # Errors
     ///
-    /// Propagates the first store append failure.
+    /// Propagates the first log append failure.
     pub fn ingest_batch(
         &self,
         records: Vec<ProvenanceRecord>,
@@ -410,19 +414,16 @@ impl AuditEngine {
         }
         let mut sequences = Vec::with_capacity(records.len());
         let mut appended = Vec::with_capacity(records.len());
-        let mut store = self.write_store();
+        let mut log = self.lock_log();
         let mut failure = None;
-        for record in records {
-            // Clone for the snapshot before the append consumes the
-            // record; the store-assigned sequence is patched in below, so
-            // no store lookup is needed inside the write-lock window.
-            let mut pending = record.clone();
-            match store.append(record) {
+        for mut record in records {
+            // The log stamps the sequence number into the record, which
+            // then moves on into the next snapshot.
+            match log.append(&mut record) {
                 Ok(seq) => {
                     sequences.push(seq);
                     self.ingested.fetch_add(1, Ordering::Relaxed);
-                    pending.sequence = seq;
-                    appended.push(pending);
+                    appended.push(record);
                 }
                 Err(error) => {
                     failure = Some(error);
@@ -433,7 +434,7 @@ impl AuditEngine {
         self.ingest_batches.fetch_add(1, Ordering::Relaxed);
         if !appended.is_empty() {
             // Build the next snapshot off to the side and publish it while
-            // the write lock is still held, so publications carry the same
+            // the log lock is still held, so publications carry the same
             // total order as the appends they describe (monotone
             // watermarks).  Readers never wait on any of this: they keep
             // loading the previous snapshot until the single-pointer swap.
@@ -441,7 +442,7 @@ impl AuditEngine {
             self.snapshot.publish(next);
             self.snapshots_published.fetch_add(1, Ordering::Relaxed);
         }
-        drop(store);
+        drop(log);
         match failure {
             Some(error) => Err(error),
             None => Ok(sequences),
@@ -465,13 +466,13 @@ impl AuditEngine {
         self.snapshot_lag.store(lag as u64, Ordering::Relaxed);
     }
 
-    /// Flushes and syncs the underlying store.
+    /// Flushes and syncs the durable log.
     ///
     /// # Errors
     ///
-    /// Propagates store sync failures.
+    /// Propagates log sync failures.
     pub fn sync(&self) -> Result<(), StoreError> {
-        self.write_store().sync()
+        self.lock_log().sync()
     }
 
     /// The currently published snapshot.
@@ -491,7 +492,7 @@ impl AuditEngine {
     }
 
     /// Serves one request from the currently published snapshot (safe to
-    /// call from many threads; acquires **no** store lock).
+    /// call from many threads; acquires **no** log lock).
     pub fn handle(&self, request: &AuditRequest) -> AuditResponse {
         self.handle_with_trace(request, None)
     }
@@ -569,10 +570,10 @@ impl AuditEngine {
         }
     }
 
-    /// Statistics of the underlying store (read lock; an operator call,
-    /// not an audit query path).
+    /// Statistics of the durable log (takes the log lock; an operator
+    /// call, not an audit query path).
     pub fn store_stats(&self) -> StoreStats {
-        self.read_store().stats()
+        self.lock_log().stats()
     }
 
     /// Whole seconds since this engine was opened.
@@ -624,7 +625,7 @@ impl AuditEngine {
             ..RequestStats::default()
         };
         // The newest record carries the value's current history.
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
+        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
             if let Some(policy) = &policy {
                 policy.record_traced(elapsed_ns(started), VetOutcomeKind::UnknownValue, trace_id);
             }
@@ -785,7 +786,7 @@ impl AuditEngine {
             index_hits: postings.len(),
             ..RequestStats::default()
         };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
+        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
             return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
         let mut match_stats = MatchStats::default();
@@ -830,7 +831,7 @@ impl AuditEngine {
             index_hits: postings.len(),
             ..RequestStats::default()
         };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(*seq)) else {
+        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
             return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
         let (original, original_stats) = compiled.matches_with_stats(&record.provenance);
@@ -856,15 +857,8 @@ impl AuditEngine {
         )
     }
 
-    fn read_store(&self) -> RwLockReadGuard<'_, ProvenanceStore> {
-        match self.store.read() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn write_store(&self) -> RwLockWriteGuard<'_, ProvenanceStore> {
-        match self.store.write() {
+    fn lock_log(&self) -> MutexGuard<'_, SegmentLog> {
+        match self.log.lock() {
             Ok(guard) => guard,
             Err(poisoned) => poisoned.into_inner(),
         }
@@ -1255,13 +1249,64 @@ mod tests {
             )])
             .unwrap();
         let after = engine.snapshot();
-        assert_eq!(after.chunk_count(), before.chunk_count() + 1);
+        assert_eq!(
+            after.chunk_count(),
+            before.chunk_count(),
+            "the batch extends the run of consecutive sequences"
+        );
         // The untouched value's bucket is the same allocation in both
         // snapshots: publication extended, it did not rebuild.
         assert!(StdArc::ptr_eq(
             before.index().value_bucket(&value("v")).unwrap(),
             after.index().value_bucket(&value("v")).unwrap()
         ));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn index_stats_track_a_growing_history() {
+        let dir = temp_dir("index-stats");
+        let engine = AuditEngine::open(&dir).unwrap();
+        let mut previous = engine.snapshot().index_stats();
+        assert_eq!(previous.records, 0);
+        let mut ingested = 0u64;
+        for round in 1..=4u64 {
+            let batch: Vec<ProvenanceRecord> = (0..round * 300)
+                .map(|i| {
+                    let k = Provenance::single(Event::output(
+                        Principal::new(format!("s{}", i % 4)),
+                        Provenance::empty(),
+                    ));
+                    let value = value(&format!("item{}", ingested + i));
+                    ProvenanceRecord::new(i, "hot", Operation::Send, "m", value, k)
+                })
+                .collect();
+            ingested += batch.len() as u64;
+            engine.ingest_batch(batch).unwrap();
+            let stats = engine.snapshot().index_stats();
+            assert_eq!(stats.records as u64, ingested);
+            assert_eq!(stats.record_leaves as u64, ingested.div_ceil(32));
+            assert_eq!(stats.value_keys as u64, ingested, "every value is fresh");
+            assert_eq!(stats.principal_keys, 1);
+            assert_eq!(stats.channel_keys, 1);
+            assert_eq!(stats.involved_principal_keys, 5, "hot plus four sources");
+            assert_eq!(
+                stats.longest_posting_list as u64, ingested,
+                "the hot principal's list grows with the history"
+            );
+            assert_eq!(stats.postings as u64, 5 * ingested);
+            assert!(stats.depth >= previous.depth);
+            // Resident bytes grow with the records, by a bounded amount
+            // per record.
+            let added = (stats.resident_bytes - previous.resident_bytes) as u64;
+            let fresh = ingested - previous.records as u64;
+            assert!(
+                added > 100 * fresh && added < 1_000 * fresh,
+                "{added} bytes for {fresh} records"
+            );
+            assert_eq!(engine.snapshot().chunk_count(), 1);
+            previous = stats;
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -6,7 +6,7 @@
 //! immediately with [`SubmitOutcome::Busy`] (counted in
 //! [`crate::EngineStats::busy_rejections`]) instead of growing the heap.
 //! Accepted batches are drained by one worker thread that applies each
-//! batch to the [`AuditEngine`] under a **single write-lock acquisition**
+//! batch to the [`AuditEngine`] under a **single log-lock acquisition**
 //! ([`AuditEngine::ingest_batch`]), so ingest pays for the lock — and for
 //! the auditors it excludes — once per batch rather than once per record.
 //!
@@ -376,7 +376,7 @@ impl Drop for IngestQueue {
     }
 }
 
-/// The worker: pop a batch (unless paused), apply it under one write lock,
+/// The worker: pop a batch (unless paused), apply it under one log lock,
 /// publish the depth gauge, repeat until closed and drained.
 fn drain_loop(shared: &Shared) {
     loop {

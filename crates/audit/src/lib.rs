@@ -11,12 +11,13 @@
 //! requests concurrently:
 //!
 //! * [`engine`] — the [`AuditEngine`]: a thread-safe facade over a
-//!   [`piprov_store::ProvenanceStore`] and named, pre-compiled patterns
+//!   durable [`piprov_store::SegmentLog`] and named, pre-compiled patterns
 //!   with bounded memos; queries answer from MVCC snapshots, never from
-//!   the store's lock;
+//!   the log;
 //! * [`snapshot`] — the [`EngineSnapshot`]: the immutable, watermarked
-//!   view (shared record chunks + structurally shared indexes) the ingest
-//!   path publishes once per batch and every query reads;
+//!   view (a persistent record vector + persistent indexes, the engine's
+//!   only in-memory copy of the records) the ingest path publishes once
+//!   per batch and every query reads;
 //! * [`request`] — the typed request/response vocabulary:
 //!   [`AuditRequest`] (`VetValue`, `AuditTrail`, `WhoTouched`,
 //!   `OriginOf`, `Why`, `Counterfactual`), [`AuditResponse`] and

@@ -2,123 +2,82 @@
 //!
 //! An [`EngineSnapshot`] is a frozen, internally consistent view of the
 //! engine's record log at one **watermark** (the highest sequence number
-//! it contains).  The ingest path builds the next snapshot *off to the
-//! side* — appending one immutable record chunk and extending a
-//! structurally shared [`SharedStoreIndex`] — and publishes it with a
-//! single `Arc` swap once the whole batch is durable.  Auditors therefore
-//! never observe a half-applied batch: every response is explained by
-//! exactly one published watermark.
+//! it contains).  It is the engine's only in-memory copy of the records:
+//! the engine itself keeps just the durable [`piprov_store::SegmentLog`].
+//! The ingest path builds the next snapshot *off to the side* and
+//! publishes it with a single `Arc` swap once the whole batch is appended.
+//! Auditors therefore never observe a half-applied batch: every response
+//! is explained by exactly one published watermark.
 //!
-//! Two sharing disciplines keep publication cheap:
+//! A snapshot is the store crate's persistent read model (see
+//! [`piprov_store::persistent`]), so extending one costs O(batch · log n)
+//! whatever the history length:
 //!
-//! * **records** are held as a vector of `Arc`'d chunks (one per published
-//!   batch, merged from recovery); extending a snapshot clones only the
-//!   chunk *pointers* and appends one new chunk — no record is ever
-//!   re-copied after it is published;
-//! * **indexes** use [`SharedStoreIndex::extended`], which shares every
-//!   untouched posting-list bucket with the predecessor snapshot.
+//! * **records** live in a [`RecordVec`], an append-only 32-way trie whose
+//!   leaf slots are written once — the next snapshot fills the free slots
+//!   of the shared tail leaf in place, and no published record is ever
+//!   copied;
+//! * **indexes** use [`SharedStoreIndex::extended`]: persistent B-trees
+//!   that copy only the paths to the keys a batch touches, with a key's
+//!   single posting stored inline in its entry.
 //!
-//! Within a chunk, sequence numbers are contiguous, so lookup is a binary
-//! search over chunk start sequences plus an offset — `O(log batches)`.
+//! Lookup by sequence number is a direct trie index (a binary search over
+//! positions once a compacted store has left sequence gaps).
 
-use piprov_store::{AuditTrail, ProvenanceRecord, SequenceNumber, SharedStoreIndex};
+use piprov_store::{
+    AuditTrail, IndexStats, ProvenanceRecord, RecordVec, SequenceNumber, SharedStoreIndex,
+};
 use std::sync::{Arc, RwLock};
-
-/// One immutable run of records with contiguous sequence numbers.
-#[derive(Debug, Clone)]
-struct RecordChunk {
-    /// Sequence number of `records[0]`.
-    first: SequenceNumber,
-    records: Arc<Vec<ProvenanceRecord>>,
-}
-
-/// Splits `records` (in ascending sequence order) into contiguous runs and
-/// appends them to `chunks`.  Appends produce one run per batch; recovery
-/// of a compacted store may produce several.
-fn append_chunks(chunks: &mut Vec<RecordChunk>, records: Vec<ProvenanceRecord>) {
-    let mut first = 0;
-    let mut run: Vec<ProvenanceRecord> = Vec::new();
-    for record in records {
-        if run.is_empty() {
-            first = record.sequence;
-        } else if record.sequence != first + run.len() as u64 {
-            chunks.push(RecordChunk {
-                first,
-                records: Arc::new(std::mem::take(&mut run)),
-            });
-            first = record.sequence;
-        }
-        run.push(record);
-    }
-    if !run.is_empty() {
-        chunks.push(RecordChunk {
-            first,
-            records: Arc::new(run),
-        });
-    }
-}
 
 /// An immutable, internally consistent view of the engine's record log at
 /// one watermark.
 ///
 /// All four audit request kinds answer entirely from a snapshot: posting
-/// lists come from its [`SharedStoreIndex`], records from its chunk list,
-/// and the store itself — including its reader-writer lock — is never
-/// touched.  Snapshots are cheap to hold: pin one (via
-/// [`crate::AuditEngine::snapshot`]) and every query served through
-/// [`crate::AuditEngine::handle_at`] sees the same frozen state, however
-/// much ingest lands in the meantime.
-#[derive(Debug)]
+/// lists come from its [`SharedStoreIndex`], records from its
+/// [`RecordVec`], and the durable log is never touched.  Snapshots are
+/// cheap to hold: pin one (via [`crate::AuditEngine::snapshot`]) and every
+/// query served through [`crate::AuditEngine::handle_at`] sees the same
+/// frozen state, however much ingest lands in the meantime.
+#[derive(Debug, Default)]
 pub struct EngineSnapshot {
-    chunks: Vec<RecordChunk>,
+    records: RecordVec,
     index: SharedStoreIndex,
-    watermark: SequenceNumber,
-    len: usize,
 }
 
 impl EngineSnapshot {
     /// An empty snapshot (watermark 0).
+    #[cfg(test)]
     pub(crate) fn empty() -> Self {
-        EngineSnapshot {
-            chunks: Vec::new(),
-            index: SharedStoreIndex::new(),
-            watermark: 0,
-            len: 0,
-        }
+        EngineSnapshot::default()
     }
 
-    /// Freezes an existing record log (used once, at engine construction,
-    /// with the recovered store contents; afterwards snapshots only ever
-    /// grow by [`EngineSnapshot::extended`]).
+    /// Wraps a recovered read model (used once, at engine construction;
+    /// afterwards snapshots only ever grow by [`EngineSnapshot::extended`]).
+    pub(crate) fn from_parts(records: RecordVec, index: SharedStoreIndex) -> Self {
+        EngineSnapshot { records, index }
+    }
+
+    /// Freezes a record log given in ascending sequence order.
+    #[cfg(test)]
     pub(crate) fn from_records(records: Vec<ProvenanceRecord>) -> Self {
-        let mut snapshot = EngineSnapshot::empty();
-        if records.is_empty() {
-            return snapshot;
-        }
-        snapshot.watermark = records.last().expect("non-empty").sequence;
-        snapshot.len = records.len();
-        snapshot.index = SharedStoreIndex::rebuild(records.iter());
-        append_chunks(&mut snapshot.chunks, records);
-        snapshot
+        EngineSnapshot::default().extended(records)
     }
 
     /// The next snapshot: `self` plus one appended batch (ascending,
-    /// non-empty).  Shares every existing chunk and every untouched index
-    /// bucket with `self`.
+    /// above `self`'s watermark).  Shares every record leaf and every
+    /// index node the batch does not touch with `self`.
     pub(crate) fn extended(&self, appended: Vec<ProvenanceRecord>) -> Self {
-        debug_assert!(!appended.is_empty(), "publication needs records");
-        let index = self.index.extended(appended.iter());
-        let watermark = appended.last().expect("non-empty batch").sequence;
-        debug_assert!(watermark > self.watermark, "watermarks are monotone");
-        let len = self.len + appended.len();
-        let mut chunks = self.chunks.clone();
-        append_chunks(&mut chunks, appended);
-        EngineSnapshot {
-            chunks,
-            index,
-            watermark,
-            len,
+        let mut index = self.index.clone();
+        let mut records = self.records.clone();
+        for record in appended {
+            debug_assert!(
+                record.sequence > records.last_sequence(),
+                "watermarks are monotone"
+            );
+            index.insert(&record);
+            records.push(record);
         }
+        EngineSnapshot { records, index }
     }
 
     /// The highest sequence number this snapshot contains (0 when empty).
@@ -127,23 +86,24 @@ impl EngineSnapshot {
     /// snapshot that answered it; watermarks observed through one engine
     /// are monotone.
     pub fn watermark(&self) -> SequenceNumber {
-        self.watermark
+        self.records.last_sequence()
     }
 
     /// Number of records visible.
     pub fn len(&self) -> usize {
-        self.len
+        self.records.len()
     }
 
     /// `true` when no record has been published yet.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.records.is_empty()
     }
 
-    /// Number of immutable record chunks (one per published batch, plus
-    /// the recovery chunk) — introspection for the sharing tests.
+    /// Number of record chunks: maximal runs of consecutive sequence
+    /// numbers (1 for a log that was never compacted, plus one per gap a
+    /// compaction left).
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.records.runs()
     }
 
     /// The snapshot's secondary indexes.
@@ -151,11 +111,16 @@ impl EngineSnapshot {
         &self.index
     }
 
+    /// Sizes of the snapshot's read model: keys per index dimension, the
+    /// longest posting list, record-vector leaves and an estimate of the
+    /// resident bytes.  In-process introspection; O(1).
+    pub fn index_stats(&self) -> IndexStats {
+        self.index.stats(&self.records)
+    }
+
     /// Looks up a record by sequence number.
     pub fn get(&self, sequence: SequenceNumber) -> Option<&ProvenanceRecord> {
-        let position = self.chunks.partition_point(|c| c.first <= sequence);
-        let chunk = self.chunks[..position].last()?;
-        chunk.records.get((sequence - chunk.first) as usize)
+        self.records.get(sequence)
     }
 
     /// Looks up several records by sequence number, skipping unknown ones.
@@ -163,7 +128,7 @@ impl EngineSnapshot {
         &'a self,
         sequences: impl IntoIterator<Item = SequenceNumber> + 'a,
     ) -> impl Iterator<Item = &'a ProvenanceRecord> + 'a {
-        sequences.into_iter().filter_map(|s| self.get(s))
+        self.records.get_many(sequences)
     }
 
     /// Reconstructs the audit trail of `value` as of this snapshot's
@@ -172,7 +137,7 @@ impl EngineSnapshot {
     /// answered at that watermark.
     pub fn audit_trail(&self, value: &piprov_core::value::Value) -> AuditTrail {
         let records: Vec<ProvenanceRecord> = self
-            .get_many(self.index.by_value(value).iter().copied())
+            .get_many(self.index.by_value(value).iter())
             .cloned()
             .collect();
         AuditTrail::from_records(value.clone(), records)
@@ -246,7 +211,7 @@ mod tests {
         let next = base.extended(vec![record(3, "c", "v")]);
         assert_eq!(next.len(), 3);
         assert_eq!(next.watermark(), 3);
-        assert_eq!(next.chunk_count(), 2);
+        assert_eq!(next.chunk_count(), 1, "one run of consecutive sequences");
         for seq in 1..=3 {
             assert_eq!(next.get(seq).unwrap().sequence, seq);
         }
@@ -296,7 +261,7 @@ mod tests {
         let base = EngineSnapshot::from_records(vec![record(1, "a", "v")]);
         let next = base.extended(vec![record(2, "b", "w")]);
         assert!(
-            Arc::ptr_eq(&base.chunks[0].records, &next.chunks[0].records),
+            Arc::ptr_eq(base.records.leaf(0).unwrap(), next.records.leaf(0).unwrap()),
             "published chunks are shared, never re-copied"
         );
         assert!(Arc::ptr_eq(
@@ -307,6 +272,63 @@ mod tests {
                 .value_bucket(&Value::Channel(Channel::new("v")))
                 .unwrap()
         ));
+    }
+
+    /// An `ingest_deep`-shaped record: one hot principal, a fresh value,
+    /// one of a few channels, a two-hop history.
+    fn deep_record(seq: u64) -> ProvenanceRecord {
+        let history = Provenance::single(Event::output(
+            Principal::new(format!("src{}", seq % 4)),
+            Provenance::empty(),
+        ))
+        .prepend(Event::input(
+            Principal::new(format!("p{}", seq % 16)),
+            Provenance::empty(),
+        ));
+        let mut r = ProvenanceRecord::new(
+            seq,
+            "hot",
+            Operation::Send,
+            format!("c{}", seq % 64).as_str(),
+            Value::Channel(Channel::new(format!("d{seq}"))),
+            history,
+        );
+        r.sequence = seq;
+        r
+    }
+
+    /// The most nodes any of 64 consecutive single-record publishes
+    /// allocates or copies on top of a `history`-record snapshot, with the
+    /// snapshot's depth.
+    fn single_record_publish_cost(history: u64) -> (u64, usize) {
+        let mut snapshot = EngineSnapshot::from_records((1..=history).map(deep_record).collect());
+        let mut worst = 0;
+        for seq in history + 1..=history + 64 {
+            let before = piprov_store::persistent::nodes_allocated();
+            let next = snapshot.extended(vec![deep_record(seq)]);
+            worst = worst.max(piprov_store::persistent::nodes_allocated() - before);
+            snapshot = next;
+        }
+        (worst, snapshot.index_stats().depth)
+    }
+
+    #[test]
+    fn single_record_publish_cost_is_flat_in_history_length() {
+        // Deterministic (a node count, no clock): a publish copies only
+        // the tree paths its record touches.  Copy-on-publish of whole
+        // maps costs thousands of nodes at these sizes.
+        let (small, small_depth) = single_record_publish_cost(1_000);
+        let (large, large_depth) = single_record_publish_cost(64_000);
+        for (nodes, depth) in [(small, small_depth), (large, large_depth)] {
+            assert!(
+                nodes <= 12 * depth as u64,
+                "{nodes} nodes for one record at depth {depth}"
+            );
+        }
+        assert!(
+            large <= small + 6 * (large_depth - small_depth) as u64,
+            "64k history: {large} nodes, 1k history: {small} nodes"
+        );
     }
 
     #[test]

@@ -13,8 +13,10 @@
 //!   reads must be no slower at 1 thread and strictly faster under
 //!   concurrent ingest on ≥ 4 hardware threads.
 //! * **`e14_mvcc/publish_latency`** — what a writer pays per published
-//!   snapshot as batch size grows (chunk append + shared-index extension),
-//!   in µs/batch and ns/record.
+//!   snapshot: single-record batches on histories of 1k, 4k, 16k and 64k
+//!   records (the cost must stay flat), then batch sizes 1–1024, in
+//!   µs/batch and ns/record.  The summary also reports the resident bytes
+//!   per record the engine holds, measured in-process.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
@@ -112,7 +114,7 @@ impl RwLockBaseline {
     fn vet(&self, value: &Value) -> bool {
         let store = self.store.read().expect("read lock");
         let postings = store.index().by_value(value);
-        let Some(record) = postings.last().and_then(|seq| store.get(*seq)) else {
+        let Some(record) = postings.last().and_then(|seq| store.get(seq)) else {
             return false;
         };
         self.pattern.matches_with_stats(&record.provenance).0
@@ -287,8 +289,82 @@ fn bench_vet_throughput(c: &mut Criterion) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot-publish latency per batch size.
+// Snapshot-publish latency per history length and per batch size.
 // ---------------------------------------------------------------------------
+
+/// History lengths the single-record publish is measured at.
+const HISTORIES: [u64; 4] = [1_024, 4_096, 16_384, 65_536];
+/// Single-record publishes timed per history length in the summary.
+const PUBLISHES: u64 = 256;
+
+/// The `i`-th record of a deep history: one hot principal (whose posting
+/// list grows with the history), a fresh value per record, 64 channels.
+fn history_record(i: u64) -> ProvenanceRecord {
+    let k = Provenance::single(Event::output(supplier(i as usize), Provenance::empty())).prepend(
+        Event::input(
+            Principal::new(format!("relay{}", i % 16)),
+            Provenance::empty(),
+        ),
+    );
+    ProvenanceRecord::new(
+        i,
+        "hot",
+        Operation::Send,
+        format!("c{}", i % 64).as_str(),
+        Value::Channel(Channel::new(format!("h{}", i))),
+        k,
+    )
+}
+
+/// A fresh engine holding records `0..history`, preloaded in 1024-record
+/// batches.
+fn engine_with_history(dir: &PathBuf, history: u64) -> AuditEngine {
+    let store = ProvenanceStore::open(dir).expect("open store");
+    let engine = AuditEngine::with_config(store, AuditConfig { memo_bound: 8192 });
+    let records: Vec<ProvenanceRecord> = (0..history).map(history_record).collect();
+    for batch in records.chunks(1024) {
+        engine.ingest_batch(batch.to_vec()).expect("preload");
+    }
+    engine
+}
+
+/// Mean seconds per single-record publish on a `history`-record engine:
+/// records prebuilt, timer around only the ingest/publish loop.
+fn timed_single_publish(history: u64) -> f64 {
+    let dir = temp_dir("publish-history");
+    let engine = engine_with_history(&dir, history);
+    let records: Vec<ProvenanceRecord> =
+        (history..history + PUBLISHES).map(history_record).collect();
+    let started = Instant::now();
+    for record in records {
+        engine.ingest_batch(vec![record]).expect("ingest");
+    }
+    let per_publish = started.elapsed().as_secs_f64() / PUBLISHES as f64;
+    std::fs::remove_dir_all(&dir).ok();
+    per_publish
+}
+
+/// This process's resident set, in bytes (Linux; `None` elsewhere).
+fn resident_bytes() -> Option<u64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let line = status.lines().find(|l| l.starts_with("VmRSS:"))?;
+    let kb: u64 = line.split_whitespace().nth(1)?.parse().ok()?;
+    Some(kb * 1024)
+}
+
+/// Resident bytes per record of an engine holding `history` records: the
+/// growth of this process's resident set while the records are built and
+/// ingested (interned provenance and names included).
+fn resident_bytes_per_record(history: u64) -> Option<f64> {
+    let dir = temp_dir("resident");
+    let before = resident_bytes()?;
+    let engine = engine_with_history(&dir, history);
+    let after = resident_bytes()?;
+    assert_eq!(engine.record_count() as u64, history);
+    drop(engine);
+    std::fs::remove_dir_all(&dir).ok();
+    Some(after.saturating_sub(before) as f64 / history as f64)
+}
 
 /// Pre-builds `rounds` batches of `batch_size` records, so the timed
 /// window below covers only ingest + publish, never record construction.
@@ -328,11 +404,29 @@ fn timed_publish(batch_size: usize, rounds: u64, tag: &str) -> f64 {
 }
 
 fn bench_publish_latency(c: &mut Criterion) {
-    // Criterion times the whole closure (the shim has no iter_batched), so
-    // its numbers include the fixed fresh-engine setup amortized over 16
-    // batches; the summary table below reports the setup-free per-batch
-    // cost from the inner timer.
+    // Single-record publishes on a preloaded engine.  Criterion times the
+    // whole closure (the shim has no iter_batched), so each timed call
+    // grows the history by one record and the criterion figures cover the
+    // history from the named length upwards; the summary table below
+    // times exactly PUBLISHES publishes from the named length.
     let mut group = c.benchmark_group("e14_mvcc/publish_latency");
+    for history in HISTORIES {
+        let dir = temp_dir("publish-criterion-history");
+        let engine = engine_with_history(&dir, history);
+        let mut next = history;
+        group.bench_with_input(BenchmarkId::new("history", history), &history, |b, _| {
+            b.iter(|| {
+                next += 1;
+                engine
+                    .ingest_batch(vec![history_record(next)])
+                    .expect("ingest")
+            })
+        });
+        drop(engine);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+    // Batch sizes on a small engine: criterion's numbers include the fixed
+    // fresh-engine setup amortized over 16 batches.
     for batch_size in [1usize, 32, 256] {
         group.bench_with_input(
             BenchmarkId::new("batch_size", batch_size),
@@ -341,6 +435,30 @@ fn bench_publish_latency(c: &mut Criterion) {
         );
     }
     group.finish();
+
+    println!("\ne14 summary — single-record publish latency per history length");
+    println!(
+        "  {:<12} {:>12} {:>12}",
+        "history", "publishes", "µs/publish"
+    );
+    let mut per_history = Vec::new();
+    for history in HISTORIES {
+        let per_publish = timed_single_publish(history);
+        per_history.push(per_publish);
+        println!(
+            "  {:<12} {:>12} {:>12.1}",
+            history,
+            PUBLISHES,
+            per_publish * 1e6
+        );
+    }
+    let (first, last) = (per_history[0], per_history[per_history.len() - 1]);
+    println!(
+        "  {}k → {}k records: {:.2}x (target: within 2x)",
+        HISTORIES[0] / 1024,
+        HISTORIES[HISTORIES.len() - 1] / 1024,
+        last / first
+    );
 
     println!("\ne14 summary — snapshot publish latency per batch size");
     println!(
@@ -360,7 +478,23 @@ fn bench_publish_latency(c: &mut Criterion) {
     }
 }
 
+/// Prints the engine's resident bytes per record.  Runs first, while the
+/// process heap holds nothing freed that a later engine could reuse
+/// without growing the resident set.
+fn report_resident_memory() {
+    let history = HISTORIES[HISTORIES.len() - 1];
+    match resident_bytes_per_record(history) {
+        Some(bytes) => println!(
+            "e14 summary — resident memory: {:.0} bytes/record at {} records \
+             (process RSS growth while building the engine)",
+            bytes, history
+        ),
+        None => println!("e14 summary — resident memory: not measurable on this platform"),
+    }
+}
+
 fn all(c: &mut Criterion) {
+    report_resident_memory();
     bench_vet_throughput(c);
     bench_publish_latency(c);
 }

@@ -13,8 +13,11 @@
 //! * [`record`] — provenance records, one per exchanged value per step;
 //! * [`codec`] — a checksummed, length-prefixed binary encoding;
 //! * [`segment`] — append-only segment files with torn-write detection;
-//! * [`store`] — the [`ProvenanceStore`]: rotation, recovery, compaction;
-//! * [`index`] — in-memory secondary indexes by principal/channel/value;
+//! * [`log`] — the [`SegmentLog`]: segment rotation, recovery, repair;
+//! * [`store`] — the [`ProvenanceStore`]: a log plus its read model;
+//! * [`persistent`] — structurally shared vector and map;
+//! * [`index`] — the read model: records and secondary indexes by
+//!   principal/channel/value, built on [`persistent`];
 //! * [`query`] — audit trails, taint analysis, origin queries;
 //! * [`recorder`] — glue that persists an executor's trace as it runs.
 //!
@@ -49,6 +52,8 @@
 pub mod codec;
 pub mod error;
 pub mod index;
+pub mod log;
+pub mod persistent;
 pub mod query;
 pub mod record;
 pub mod recorder;
@@ -57,7 +62,8 @@ pub mod store;
 
 pub use codec::BodyFormat;
 pub use error::StoreError;
-pub use index::{SharedStoreIndex, StoreIndex};
+pub use index::{IndexStats, Postings, RecordVec, SharedStoreIndex, StoreIndex};
+pub use log::SegmentLog;
 pub use query::{AuditTrail, StoreQuery};
 pub use record::{Operation, ProvenanceRecord, SequenceNumber};
 pub use recorder::{run_and_record, TraceRecorder};

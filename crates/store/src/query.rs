@@ -122,21 +122,21 @@ impl<'a> StoreQuery<'a> {
     /// Every record in which `principal` acted.
     pub fn records_by_principal(&self, principal: &Principal) -> Vec<&ProvenanceRecord> {
         self.store
-            .get_many(self.store.index().by_principal(principal).iter().copied())
+            .get_many(self.store.index().by_principal(principal).iter())
             .collect()
     }
 
     /// Every record on `channel`.
     pub fn records_on_channel(&self, channel: &Channel) -> Vec<&ProvenanceRecord> {
         self.store
-            .get_many(self.store.index().by_channel(channel).iter().copied())
+            .get_many(self.store.index().by_channel(channel).iter())
             .collect()
     }
 
     /// Every record exchanging `value`.
     pub fn records_of_value(&self, value: &Value) -> Vec<&ProvenanceRecord> {
         self.store
-            .get_many(self.store.index().by_value(value).iter().copied())
+            .get_many(self.store.index().by_value(value).iter())
             .collect()
     }
 
@@ -167,7 +167,7 @@ impl<'a> StoreQuery<'a> {
     pub fn tainted_by(&self, suspect: &Principal) -> BTreeSet<Principal> {
         let mut out = BTreeSet::new();
         for seq in self.store.index().by_involved_principal(suspect) {
-            if let Some(record) = self.store.get(*seq) {
+            if let Some(record) = self.store.get(seq) {
                 out.insert(record.principal.clone());
             }
         }

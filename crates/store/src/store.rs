@@ -1,85 +1,24 @@
 //! The provenance store: durable, append-only storage of provenance
-//! records with in-memory indexes and crash recovery.
+//! records with an in-memory read model and crash recovery.
 //!
-//! Layout on disk: a directory containing numbered segment files
-//! `seg-000001.plog`, `seg-000002.plog`, ….  Records are appended to the
-//! highest-numbered (active) segment; when it exceeds the size budget a new
-//! segment is started.  Recovery scans the segments in order, keeps every
-//! cleanly decodable prefix, rebuilds the indexes and resumes appending.
+//! A [`ProvenanceStore`] is a [`SegmentLog`] (the durable half: segment
+//! files, recovery, repair, rotation) plus the read model of
+//! [`crate::index`] — a persistent [`RecordVec`] and [`StoreIndex`] — kept
+//! in step with every append.  Recovery replays the log into the model.
 
 use crate::error::StoreError;
-use crate::index::StoreIndex;
+use crate::index::{RecordVec, StoreIndex};
+use crate::log::SegmentLog;
+pub use crate::log::{RepairReport, StoreConfig, StoreStats};
 use crate::record::{ProvenanceRecord, SequenceNumber};
-use crate::segment::{scan_segment, Segment, DEFAULT_SEGMENT_BUDGET};
-use std::collections::BTreeMap;
-use std::fmt;
-use std::fs;
-use std::fs::OpenOptions;
-use std::path::{Path, PathBuf};
-
-/// Configuration of a [`ProvenanceStore`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StoreConfig {
-    /// Size budget of a segment before rotation, in bytes.
-    pub segment_budget: usize,
-    /// Whether every append is synced to stable storage (slow, durable) or
-    /// only flushed on [`ProvenanceStore::sync`] and rotation.
-    pub sync_every_append: bool,
-}
-
-impl Default for StoreConfig {
-    fn default() -> Self {
-        StoreConfig {
-            segment_budget: DEFAULT_SEGMENT_BUDGET,
-            sync_every_append: false,
-        }
-    }
-}
-
-/// Summary statistics of a store.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StoreStats {
-    /// Number of records held.
-    pub records: usize,
-    /// Number of segment files (including the active one).
-    pub segments: usize,
-    /// Approximate bytes on disk.
-    pub bytes: usize,
-}
-
-impl fmt::Display for StoreStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} records in {} segments (~{} bytes)",
-            self.records, self.segments, self.bytes
-        )
-    }
-}
+use std::path::Path;
 
 /// An append-only provenance store backed by segment files.
 #[derive(Debug)]
 pub struct ProvenanceStore {
-    directory: PathBuf,
-    config: StoreConfig,
-    active: Segment,
-    active_id: u64,
-    sealed: Vec<PathBuf>,
-    next_sequence: SequenceNumber,
-    records: BTreeMap<SequenceNumber, ProvenanceRecord>,
+    log: SegmentLog,
+    records: RecordVec,
     index: StoreIndex,
-    bytes_on_disk: usize,
-}
-
-/// What [`ProvenanceStore::repair`] did to a store directory.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct RepairReport {
-    /// Bytes cut off the newest segment (0 when it was clean).
-    pub truncated_bytes: usize,
-    /// Sealed segments that still contain undecodable frames; repair never
-    /// rewrites sealed files, so these need manual attention (or
-    /// [`ProvenanceStore::compact`] from a restored copy).
-    pub corrupt_sealed_segments: Vec<PathBuf>,
 }
 
 impl ProvenanceStore {
@@ -102,45 +41,14 @@ impl ProvenanceStore {
     }
 
     /// Explicitly repairs a store directory that [`ProvenanceStore::open`]
-    /// refuses to open: truncates the newest segment to its cleanly
-    /// decodable prefix — discarding everything after the first bad frame,
-    /// including any later frames that individually decode — and reports
-    /// sealed segments that still hold corruption (those are never
-    /// modified).
-    ///
-    /// This is the operator's decision, not recovery's: a crash can leave
-    /// a hole in the unsynced tail (a later page flushed, an earlier one
-    /// not), which is indistinguishable from mid-file bitrot by file
-    /// contents alone.  Nothing after the last `sync` was durable, so
-    /// truncating the tail is sound for the crash case; calling this on a
-    /// genuinely bitrotten store destroys whatever followed the rot.
+    /// refuses to open; see [`SegmentLog::repair`].
     ///
     /// # Errors
     ///
     /// Returns an error if the directory or a segment cannot be read, or
     /// the truncation fails.
     pub fn repair(directory: impl AsRef<Path>) -> Result<RepairReport, StoreError> {
-        let directory = directory.as_ref();
-        let mut segment_paths = existing_segments(directory)?;
-        segment_paths.sort();
-        let mut report = RepairReport::default();
-        let Some((newest, sealed)) = segment_paths.split_last() else {
-            return Ok(report);
-        };
-        for path in sealed {
-            if !scan_segment(path)?.is_clean() {
-                report.corrupt_sealed_segments.push(path.clone());
-            }
-        }
-        let scan = scan_segment(newest)?;
-        if !scan.is_clean() {
-            let disk_len = fs::metadata(newest)?.len() as usize;
-            let file = OpenOptions::new().write(true).open(newest)?;
-            file.set_len(scan.valid_len as u64)?;
-            file.sync_data()?;
-            report.truncated_bytes = disk_len - scan.valid_len;
-        }
-        Ok(report)
+        SegmentLog::repair(directory)
     }
 
     /// Opens a store with an explicit configuration.
@@ -154,85 +62,34 @@ impl ProvenanceStore {
     /// cannot be read, or a segment holds unrepairable corruption (see
     /// [`ProvenanceStore::repair`]).
     pub fn open_with(directory: impl AsRef<Path>, config: StoreConfig) -> Result<Self, StoreError> {
-        let directory = directory.as_ref().to_path_buf();
-        fs::create_dir_all(&directory)?;
-        if !directory.is_dir() {
-            return Err(StoreError::InvalidDirectory(
-                directory.display().to_string(),
-            ));
-        }
-        let mut segment_paths = existing_segments(&directory)?;
-        segment_paths.sort();
-        let mut records = BTreeMap::new();
-        let mut bytes_on_disk = 0usize;
-        for (position, path) in segment_paths.iter().enumerate() {
-            let scan = scan_segment(path)?;
-            let disk_len = fs::metadata(path).map(|m| m.len() as usize).unwrap_or(0);
-            let is_last = position == segment_paths.len() - 1;
-            match scan.error {
-                // A torn tail of the newest segment is an append
-                // interrupted by a crash: keep the valid prefix and
-                // truncate the partial frame away, so that new appends
-                // cannot land after unreadable bytes and be lost on the
-                // next recovery.
-                Some(_) if is_last && scan.torn_tail => {
-                    let file = OpenOptions::new().write(true).open(path)?;
-                    file.set_len(scan.valid_len as u64)?;
-                    file.sync_data()?;
-                    bytes_on_disk += scan.valid_len;
-                }
-                // Anything else is corruption that recovery cannot repair:
-                // a bad frame with valid frames after it (bitrot, partial
-                // sector rewrite) in the newest segment, or any decode
-                // error in a sealed segment, which is never written again
-                // and so can never have a legitimately torn tail.  Refuse
-                // to open rather than silently serving a partial store:
-                // the file is left untouched as evidence for repair.
-                Some(error) => return Err(error),
-                None => bytes_on_disk += disk_len,
-            }
-            for record in scan.records {
-                records.insert(record.sequence, record);
-            }
-        }
-        let next_sequence = records.keys().next_back().map(|s| s + 1).unwrap_or(1);
-        let (active_id, active, sealed) = match segment_paths.last() {
-            Some(last) => {
-                let id = segment_id(last).unwrap_or(segment_paths.len() as u64);
-                (
-                    id,
-                    Segment::open_append(last)?,
-                    segment_paths[..segment_paths.len() - 1].to_vec(),
-                )
-            }
-            None => {
-                let id = 1;
-                let path = segment_path(&directory, id);
-                (id, Segment::create(&path)?, Vec::new())
-            }
-        };
-        let index = StoreIndex::rebuild(records.values());
-        Ok(ProvenanceStore {
-            directory,
-            config,
-            active,
-            active_id,
-            sealed,
-            next_sequence,
-            records,
+        let (log, recovered) = SegmentLog::open(directory, config)?;
+        Ok(ProvenanceStore::from_parts(log, recovered))
+    }
+
+    fn from_parts(log: SegmentLog, records: Vec<ProvenanceRecord>) -> Self {
+        let index = StoreIndex::rebuild(&records);
+        ProvenanceStore {
+            log,
+            records: records.into_iter().collect(),
             index,
-            bytes_on_disk,
-        })
+        }
+    }
+
+    /// Splits the store into its durable log and its read model — the
+    /// audit engine keeps the log and publishes the model as its first
+    /// snapshot.
+    pub fn into_parts(self) -> (SegmentLog, RecordVec, StoreIndex) {
+        (self.log, self.records, self.index)
     }
 
     /// The directory backing the store.
     pub fn directory(&self) -> &Path {
-        &self.directory
+        self.log.directory()
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &StoreConfig {
-        &self.config
+        self.log.config()
     }
 
     /// Appends a record, assigning and returning its sequence number.
@@ -241,19 +98,9 @@ impl ProvenanceStore {
     ///
     /// Returns an error if the write fails.
     pub fn append(&mut self, mut record: ProvenanceRecord) -> Result<SequenceNumber, StoreError> {
-        record.sequence = self.next_sequence;
-        self.next_sequence += 1;
-        let written = self.active.append(&record)?;
-        self.bytes_on_disk += written;
-        if self.config.sync_every_append {
-            self.active.sync()?;
-        }
+        let seq = self.log.append(&mut record)?;
         self.index.insert(&record);
-        let seq = record.sequence;
-        self.records.insert(seq, record);
-        if self.active.is_full(self.config.segment_budget) {
-            self.rotate()?;
-        }
+        self.records.push(record);
         Ok(seq)
     }
 
@@ -280,7 +127,7 @@ impl ProvenanceStore {
     ///
     /// Returns an error if the sync fails.
     pub fn sync(&mut self) -> Result<(), StoreError> {
-        self.active.sync()
+        self.log.sync()
     }
 
     /// Seals the active segment and starts a new one.
@@ -289,17 +136,12 @@ impl ProvenanceStore {
     ///
     /// Returns an error if the new segment cannot be created.
     pub fn rotate(&mut self) -> Result<(), StoreError> {
-        self.active.sync()?;
-        self.sealed.push(self.active.path().to_path_buf());
-        self.active_id += 1;
-        let path = segment_path(&self.directory, self.active_id);
-        self.active = Segment::create(path)?;
-        Ok(())
+        self.log.rotate()
     }
 
     /// Looks up a record by sequence number.
     pub fn get(&self, sequence: SequenceNumber) -> Option<&ProvenanceRecord> {
-        self.records.get(&sequence)
+        self.records.get(sequence)
     }
 
     /// Looks up several records by sequence number, skipping unknown ones.
@@ -307,12 +149,12 @@ impl ProvenanceStore {
         &'a self,
         sequences: impl IntoIterator<Item = SequenceNumber> + 'a,
     ) -> impl Iterator<Item = &'a ProvenanceRecord> + 'a {
-        sequences.into_iter().filter_map(|s| self.records.get(&s))
+        self.records.get_many(sequences)
     }
 
     /// Iterates over all records in sequence order.
     pub fn iter(&self) -> impl Iterator<Item = &ProvenanceRecord> {
-        self.records.values()
+        self.records.iter()
     }
 
     /// Number of records held.
@@ -332,20 +174,14 @@ impl ProvenanceStore {
 
     /// A query handle over this store.
     ///
-    /// Equivalent to `StoreQuery::new(&store)`; callers that serve many
-    /// audit requests (the `piprov-audit` engine) create one handle per
-    /// request under their read lock.
+    /// Equivalent to `StoreQuery::new(&store)`.
     pub fn query(&self) -> crate::query::StoreQuery<'_> {
         crate::query::StoreQuery::new(self)
     }
 
     /// Store statistics.
     pub fn stats(&self) -> StoreStats {
-        StoreStats {
-            records: self.records.len(),
-            segments: self.sealed.len() + 1,
-            bytes: self.bytes_on_disk,
-        }
+        self.log.stats()
     }
 
     /// Rewrites the store keeping only records accepted by `keep`,
@@ -358,60 +194,26 @@ impl ProvenanceStore {
     /// in place in that case.
     pub fn compact(&mut self, keep: impl Fn(&ProvenanceRecord) -> bool) -> Result<(), StoreError> {
         let kept: Vec<ProvenanceRecord> =
-            self.records.values().filter(|r| keep(r)).cloned().collect();
-        self.active_id += 1;
-        let path = segment_path(&self.directory, self.active_id);
-        let mut fresh = Segment::create(&path)?;
-        let mut bytes = 0usize;
-        for record in &kept {
-            bytes += fresh.append(record)?;
-        }
-        fresh.sync()?;
-        // Swap in the new state, then remove the old files.
-        let old_paths: Vec<PathBuf> = self
-            .sealed
-            .drain(..)
-            .chain(std::iter::once(self.active.path().to_path_buf()))
-            .collect();
-        self.active = fresh;
-        self.records = kept.into_iter().map(|r| (r.sequence, r)).collect();
-        self.index = StoreIndex::rebuild(self.records.values());
-        self.bytes_on_disk = bytes;
-        for path in old_paths {
-            let _ = fs::remove_file(path);
-        }
+            self.records.iter().filter(|r| keep(r)).cloned().collect();
+        self.log.rewrite(&kept)?;
+        self.index = StoreIndex::rebuild(&kept);
+        self.records = kept.into_iter().collect();
         Ok(())
     }
-}
-
-fn segment_path(directory: &Path, id: u64) -> PathBuf {
-    directory.join(format!("seg-{:06}.plog", id))
-}
-
-fn segment_id(path: &Path) -> Option<u64> {
-    let name = path.file_stem()?.to_str()?;
-    name.strip_prefix("seg-")?.parse().ok()
-}
-
-fn existing_segments(directory: &Path) -> Result<Vec<PathBuf>, StoreError> {
-    let mut out = Vec::new();
-    for entry in fs::read_dir(directory)? {
-        let entry = entry?;
-        let path = entry.path();
-        if path.extension().map(|e| e == "plog").unwrap_or(false) {
-            out.push(path);
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::existing_segments;
     use crate::record::Operation;
+    use crate::segment::DEFAULT_SEGMENT_BUDGET;
     use piprov_core::name::{Channel, Principal};
     use piprov_core::provenance::{Event, Provenance};
     use piprov_core::value::Value;
+    use std::fs;
+    use std::fs::OpenOptions;
+    use std::path::PathBuf;
 
     fn record(t: u64, principal: &str, value: &str) -> ProvenanceRecord {
         ProvenanceRecord::new(
@@ -824,6 +626,44 @@ mod tests {
                 .filter(|r| r.principal == Principal::new("b"))
                 .count(),
             1
+        );
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_rotation_appends_nothing_and_keeps_the_model_in_step() {
+        let dir = temp_dir("rotate-fails");
+        let config = StoreConfig {
+            segment_budget: 1,
+            sync_every_append: false,
+        };
+        let mut store = ProvenanceStore::open_with(&dir, config.clone()).unwrap();
+        assert_eq!(store.append(record(1, "a", "v")).unwrap(), 1);
+        // The active segment is full, so the next append rotates first;
+        // a directory squatting on the next segment's name makes that fail.
+        let blocker = dir.join("seg-000002.plog");
+        fs::create_dir(&blocker).unwrap();
+        assert!(store.append(record(2, "b", "w")).is_err());
+        assert_eq!(store.len(), 1);
+        assert_eq!(store.stats().records, store.len());
+        assert_eq!(store.stats().segments, 1);
+        assert!(store.get(2).is_none());
+        assert!(store.index().by_principal(&Principal::new("b")).is_empty());
+        // Once the rotation can succeed the store carries on without a
+        // sequence gap, and the failed record never reached the disk.
+        fs::remove_dir(&blocker).unwrap();
+        assert_eq!(store.append(record(3, "c", "u")).unwrap(), 2);
+        assert_eq!(store.stats().segments, 2);
+        assert_eq!(store.stats().records, store.len());
+        store.sync().unwrap();
+        drop(store);
+        let store = ProvenanceStore::open_with(&dir, config).unwrap();
+        assert_eq!(
+            store
+                .iter()
+                .map(|r| (r.sequence, r.logical_time))
+                .collect::<Vec<_>>(),
+            vec![(1, 1), (2, 3)]
         );
         fs::remove_dir_all(&dir).ok();
     }
