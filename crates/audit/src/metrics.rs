@@ -284,7 +284,7 @@ impl MetricsRegistry {
     }
 
     /// Records one wire frame's decode time (frame body → typed request).
-    /// Recorded by the serving layer, in both server cores.
+    /// Recorded by the serving layer.
     pub fn record_frame_decode(&self, elapsed_ns: u64) {
         self.frame_decode.record(elapsed_ns);
     }
@@ -424,11 +424,10 @@ pub struct PolicySnapshot {
     pub vets_failed: u64,
     /// Vets whose value had no recorded history.
     pub vets_unknown_value: u64,
-    /// Counterfactual audits served against this policy.  (0 when the
-    /// snapshot was decoded from a pre-v6 wire peer.)
+    /// Counterfactual audits served against this policy.
     pub counterfactuals: u64,
     /// Counterfactual audits whose filtered verdict differed from the
-    /// original — the removed events were causal.  (0 pre-v6.)
+    /// original — the removed events were causal.
     pub counterfactual_flips: u64,
     /// The vet latency histogram.
     pub latency: HistogramSnapshot,
@@ -451,7 +450,7 @@ pub struct MetricsSnapshot {
     /// per-policy row to land in).
     pub vets_unknown_pattern: u64,
     /// Wire-level: frame-decode time (frame body → typed request),
-    /// recorded by the serving layer in both server cores.
+    /// recorded by the serving layer.
     pub frame_decode: HistogramSnapshot,
     /// Wire-level: per-request service time (decoded request → encoded
     /// response).

@@ -321,7 +321,7 @@ impl AuditClient {
 
     /// Asks *why* `value` passes or fails `policy`: the answer's outcome is
     /// an `AuditOutcome::Why` carrying the witness slice (or
-    /// `UnknownValue`/`UnknownPattern`).  Wire version 6.
+    /// `UnknownValue`/`UnknownPattern`).
     ///
     /// # Errors
     ///
@@ -340,8 +340,7 @@ impl AuditClient {
     /// Asks whether `value` would still satisfy `policy` with the events
     /// named by `remove` taken out of its history: the answer's outcome is
     /// an `AuditOutcome::Counterfactual` carrying both verdicts and the
-    /// removed events (or `UnknownValue`/`UnknownPattern`).  Wire
-    /// version 6.
+    /// removed events (or `UnknownValue`/`UnknownPattern`).
     ///
     /// # Errors
     ///

@@ -1,4 +1,4 @@
-//! The readiness-based server core ([`crate::ServerCore::EventLoop`]).
+//! The serving core: readiness-based I/O on Linux `epoll`.
 //!
 //! One **event-loop thread** owns the listener, an epoll instance (see
 //! [`crate::poll`]), and every connection's state machine:
@@ -13,39 +13,36 @@
 //! delivers into a per-connection buffer, carves complete frames out of
 //! it with [`crate::wire::try_parse_frame`], and drains each connection's
 //! outbound buffer (partial writes re-arm `EPOLLOUT`).  Complete frames
-//! are handed to a small **dispatch worker pool** that does the CPU work
-//! — decode, [`crate::server::handle_request`] against the engine's
-//! lock-free MVCC read path, encode — and appends the encoded responses
-//! to the connection's outbound buffer.  At most one dispatch job per
-//! connection is in flight and a job answers its frames in order, so
-//! pipelining keeps the wire contract: responses strictly in request
-//! order per connection.
+//! are handed to a small **dispatch worker pool** that runs each through
+//! [`crate::server::serve_frame`] and appends the encoded responses to the
+//! connection's outbound buffer.  At most one dispatch job per connection
+//! is in flight and a job answers its frames in order, so pipelining
+//! keeps the wire contract: responses strictly in request order per
+//! connection.
 //!
 //! An idle connection therefore costs exactly one registered fd and its
-//! (empty) buffers — no thread, no timer.  Shutdown is an `eventfd` wake,
-//! not a poll: the loop thread sleeps in `epoll_wait` indefinitely until
-//! the listener, a connection, a finished dispatch job, or the stop flag
-//! (via [`crate::poll::WakeFd`]) rouses it.
+//! (empty) buffers — no thread.  The loop thread sleeps in `epoll_wait`
+//! until the listener, a connection, a finished dispatch job, or the stop
+//! flag (via [`crate::poll::WakeFd`]) rouses it; it also wakes on a short
+//! tick while a time bound needs watching:
 //!
-//! Protocol behavior is identical to the thread-pool core: typed error
-//! frames then close on malformed input, `GET /metrics` answered with one
-//! HTTP exposition response, [`crate::ServeConfig::idle_timeout`]
-//! enforced with a best-effort `ServerError{"idle timeout"}` frame.
+//! * a frame or HTTP request head that has started but gets no new bytes
+//!   for [`STALL_TIMEOUT`] is answered — the HTTP head from the bytes that
+//!   arrived, the frame with a typed error — and the connection closed,
+//!   whatever [`crate::ServeConfig::idle_timeout`] says;
+//! * with `idle_timeout` set, a connection with no request in any stage
+//!   past that bound is closed with a best-effort `ServerError{"idle
+//!   timeout"}` frame.
 
-#![cfg(target_os = "linux")]
-
-use crate::codec::{decode_request_traced, encode_response, request_kind, WireResponse};
+use crate::codec::{encode_response, WireResponse};
 use crate::poll::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{
-    contains_blank_line, elapsed_ns, handle_request, http_response_for, IDLE_TIMEOUT_MESSAGE,
-    MAX_HTTP_HEAD,
+    contains_blank_line, http_response_for, serve_frame, PendingTrace, Services,
+    IDLE_TIMEOUT_MESSAGE, MAX_HTTP_HEAD,
 };
 use crate::wire::{try_parse_frame, write_frame, WireError, HTTP_GET_PREFIX};
-use crate::ServeConfig;
 use bytes::Bytes;
-use piprov_audit::{
-    AuditEngine, IngestQueue, RequestKind, Span, SpanKind, TraceCollector, TraceContext,
-};
+use piprov_audit::TraceCollector;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -63,7 +60,15 @@ const FIRST_CONN_TOKEN: u64 = 2;
 /// responses to drain before closing connections anyway.
 const DRAIN_DEADLINE: Duration = Duration::from_secs(5);
 
-/// The running threads of the event-loop core.  Owned by
+/// How long a frame or HTTP request head that has started may go without
+/// new bytes before it is answered and its connection closed.
+const STALL_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// How often the loop checks the stall and idle bounds while one needs
+/// watching.
+const SWEEP_TICK: Duration = Duration::from_millis(200);
+
+/// The running threads of the event loop.  Owned by
 /// [`crate::AuditServer`]; [`EventLoopHandle::stop`] is idempotent.
 #[derive(Debug)]
 pub(crate) struct EventLoopHandle {
@@ -75,35 +80,26 @@ pub(crate) struct EventLoopHandle {
 impl EventLoopHandle {
     /// Registers `listener` with a fresh epoll instance and starts the
     /// loop thread plus `config.workers` dispatch workers.
-    pub(crate) fn start(
-        listener: TcpListener,
-        engine: Arc<AuditEngine>,
-        queue: Arc<IngestQueue>,
-        collector: Arc<TraceCollector>,
-        stop: Arc<AtomicBool>,
-        config: ServeConfig,
-    ) -> std::io::Result<Self> {
+    pub(crate) fn start(listener: TcpListener, services: Arc<Services>) -> std::io::Result<Self> {
         listener.set_nonblocking(true)?;
         let epoll = Epoll::new()?;
-        let wake = Arc::new(WakeFd::new()?);
+        let wake = WakeFd::new()?;
         epoll.add(listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
         epoll.add(wake.raw(), EPOLLIN, TOKEN_WAKE)?;
         let dispatch = Arc::new(Dispatch {
             jobs: Mutex::new(VecDeque::new()),
             work: Condvar::new(),
             done: Mutex::new(Vec::new()),
-            wake: Arc::clone(&wake),
-            stop: Arc::clone(&stop),
+            wake,
+            stop: AtomicBool::new(false),
         });
-        let workers = (0..config.workers.max(1))
+        let workers = (0..services.config.workers.max(1))
             .map(|i| {
                 let dispatch = Arc::clone(&dispatch);
-                let engine = Arc::clone(&engine);
-                let queue = Arc::clone(&queue);
-                let collector = Arc::clone(&collector);
+                let services = Arc::clone(&services);
                 std::thread::Builder::new()
                     .name(format!("piprov-dispatch-{}", i))
-                    .spawn(move || dispatch_loop(&dispatch, &engine, &queue, &collector, &config))
+                    .spawn(move || dispatch_loop(&dispatch, &services))
                     .expect("spawn dispatch worker")
             })
             .collect();
@@ -115,14 +111,12 @@ impl EventLoopHandle {
                     Loop {
                         epoll,
                         listener,
-                        wake,
                         dispatch,
-                        stop,
-                        engine,
-                        collector,
-                        config,
+                        services,
                         conns: HashMap::new(),
                         next_token: FIRST_CONN_TOKEN,
+                        watching: false,
+                        next_sweep: Instant::now(),
                     }
                     .run()
                 })
@@ -135,9 +129,10 @@ impl EventLoopHandle {
         })
     }
 
-    /// Wakes the loop thread (the caller has already raised the stop
-    /// flag), lets it drain in-flight work, then joins every thread.
+    /// Raises the stop flag, wakes the loop thread, lets it drain
+    /// in-flight work, then joins every thread.
     pub(crate) fn stop(&mut self) {
+        self.dispatch.stop.store(true, Ordering::SeqCst);
         self.dispatch.wake.wake();
         if let Some(thread) = self.loop_thread.take() {
             let _ = thread.join();
@@ -159,8 +154,20 @@ struct Dispatch {
     /// Tokens whose job finished; the loop thread drains this after a
     /// [`WakeFd`] wake and re-examines those connections.
     done: Mutex<Vec<u64>>,
-    wake: Arc<WakeFd>,
-    stop: Arc<AtomicBool>,
+    wake: WakeFd,
+    stop: AtomicBool,
+}
+
+impl Dispatch {
+    fn push(&self, job: Job) {
+        self.jobs.lock().expect("jobs lock").push_back(job);
+        self.work.notify_one();
+    }
+
+    fn report_done(&self, token: u64) {
+        self.done.lock().expect("done lock").push(token);
+        self.wake.wake();
+    }
 }
 
 /// One unit of CPU work for a dispatch worker.  The worker appends its
@@ -199,8 +206,8 @@ struct Outbound {
     /// Total bytes ever written to the socket.
     total_flushed: u64,
     /// Requests whose response sits in `buf`, waiting for the write-drain
-    /// to pass `end_abs` — at which point the write span closes and the
-    /// trace is finished.  Appended in stream order, so always sorted.
+    /// to pass their `end_abs` — at which point the write span closes and
+    /// the trace is finished.  Appended in stream order, so always sorted.
     pending_traces: Vec<PendingTrace>,
 }
 
@@ -208,25 +215,11 @@ impl Outbound {
     fn is_drained(&self) -> bool {
         self.start >= self.buf.len()
     }
-}
 
-/// A request waiting for its response bytes to reach the socket; the
-/// final `write` span covers enqueue → drained-past-`end_abs`.
-#[derive(Debug)]
-struct PendingTrace {
-    /// `Outbound::total_flushed` value at which this response is fully on
-    /// the wire.
-    end_abs: u64,
-    /// When the dispatch worker started decoding — the trace's total
-    /// starts here.
-    started: Instant,
-    /// When the encoded response entered the outbound buffer.
-    enqueued: Instant,
-    ctx: Option<TraceContext>,
-    kind: RequestKind,
-    client_encode_ns: u64,
-    decode_ns: u64,
-    handle: Span,
+    fn enqueue(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+        self.total_enqueued += bytes.len() as u64;
+    }
 }
 
 /// Per-connection state machine on the loop thread.
@@ -247,19 +240,29 @@ struct Conn {
     /// request head instead of frames.
     http_head: Option<Vec<u8>>,
     peer_eof: bool,
+    /// When bytes last arrived.
     last_activity: Instant,
     /// The epoll interest currently registered for this fd.
     interest: u32,
 }
 
 impl Conn {
+    /// A frame or HTTP head has started arriving but is not complete.
+    fn has_partial_input(&self) -> bool {
+        !self.read_buf.is_empty() || self.http_head.is_some()
+    }
+
+    /// Partial input that has had no new bytes for [`STALL_TIMEOUT`].
+    fn is_stalled(&self) -> bool {
+        self.has_partial_input() && self.last_activity.elapsed() >= STALL_TIMEOUT
+    }
+
     /// No request in any stage — the state an idle-timeout may expire.
     fn is_idle(&self, out: &Outbound) -> bool {
         !self.in_flight
             && self.pending.is_empty()
             && self.pending_error.is_none()
-            && self.read_buf.is_empty()
-            && self.http_head.is_none()
+            && !self.has_partial_input()
             && out.is_drained()
     }
 }
@@ -267,14 +270,14 @@ impl Conn {
 struct Loop {
     epoll: Epoll,
     listener: TcpListener,
-    wake: Arc<WakeFd>,
     dispatch: Arc<Dispatch>,
-    stop: Arc<AtomicBool>,
-    engine: Arc<AuditEngine>,
-    collector: Arc<TraceCollector>,
-    config: ServeConfig,
+    services: Arc<Services>,
     conns: HashMap<u64, (Conn, Arc<Mutex<Outbound>>)>,
     next_token: u64,
+    /// Some connection may hold partial input, so the stall bound needs
+    /// watching.
+    watching: bool,
+    next_sweep: Instant,
 }
 
 impl Loop {
@@ -282,27 +285,26 @@ impl Loop {
         let mut events = Vec::new();
         loop {
             let timeout = self
-                .config
-                .idle_timeout
-                .map(|t| t.min(Duration::from_millis(200)));
+                .sweep_tick()
+                .map(|_| self.next_sweep.saturating_duration_since(Instant::now()));
             if self.epoll.wait(&mut events, timeout).is_err() {
                 // epoll itself failing is unrecoverable for this core;
                 // fall through to the drain path and stop serving.
-                self.stop.store(true, Ordering::SeqCst);
+                self.dispatch.stop.store(true, Ordering::SeqCst);
             }
             for &(token, revents) in events.iter() {
                 match token {
                     TOKEN_LISTENER => self.accept_ready(),
-                    TOKEN_WAKE => self.wake.drain(),
+                    TOKEN_WAKE => self.dispatch.wake.drain(),
                     _ => self.conn_ready(token, revents),
                 }
             }
             self.reap_done();
-            if self.stop.load(Ordering::SeqCst) {
+            if self.dispatch.stop.load(Ordering::SeqCst) {
                 self.drain_and_close();
                 return;
             }
-            self.sweep_idle();
+            self.sweep();
         }
     }
 
@@ -340,7 +342,10 @@ impl Loop {
             };
             self.conns
                 .insert(token, (conn, Arc::new(Mutex::new(Outbound::default()))));
-            self.engine.metrics_registry().note_connection_accepted();
+            self.services
+                .engine
+                .metrics_registry()
+                .note_connection_accepted();
         }
     }
 
@@ -355,7 +360,7 @@ impl Loop {
             self.close(token);
             return;
         }
-        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.collector) {
+        if revents & EPOLLOUT != 0 && !flush_outbound(conn, out, &self.services.collector) {
             self.close(token);
             return;
         }
@@ -382,7 +387,7 @@ impl Loop {
         };
         let closing = out.lock().expect("outbound lock").closing;
         if !closing {
-            parse_available(conn, &self.config);
+            parse_available(conn, self.services.config.limits.max_frame_len);
             // Dispatch the next batch of complete frames (or a complete
             // HTTP head) if the connection's single job slot is free.
             if !conn.in_flight {
@@ -409,14 +414,10 @@ impl Loop {
                 }
             }
         }
-        let Some((conn, out)) = self.conns.get_mut(&token) else {
-            return;
-        };
-        if !flush_outbound(conn, out, &self.collector) {
+        if !flush_outbound(conn, out, &self.services.collector) {
             self.close(token);
             return;
         }
-        let (conn, out) = self.conns.get_mut(&token).expect("conn");
         let guard = out.lock().expect("outbound lock");
         let finished = conn.peer_eof
             && !conn.in_flight
@@ -429,6 +430,7 @@ impl Loop {
             self.close(token);
             return;
         }
+        self.watching |= conn.has_partial_input();
         // Re-arm interest: always readable (readiness is how EOF and new
         // frames arrive), writable only while the outbound buffer holds
         // unsent bytes.
@@ -442,27 +444,50 @@ impl Loop {
         }
     }
 
-    /// Expires connections idle past [`ServeConfig::idle_timeout`] with a
-    /// best-effort typed frame.
-    fn sweep_idle(&mut self) {
-        let Some(bound) = self.config.idle_timeout else {
+    /// How often to sweep, when some bound needs watching at all.
+    fn sweep_tick(&self) -> Option<Duration> {
+        match self.services.config.idle_timeout {
+            Some(bound) => Some(bound.min(SWEEP_TICK)),
+            None => self.watching.then_some(SWEEP_TICK),
+        }
+    }
+
+    /// Once per tick: answers stalled input (via [`Loop::advance`], which
+    /// treats it as complete) and expires connections idle past
+    /// [`crate::ServeConfig::idle_timeout`] with a best-effort typed frame.
+    fn sweep(&mut self) {
+        let Some(tick) = self.sweep_tick() else {
             return;
         };
-        let expired: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, (conn, out))| {
-                conn.last_activity.elapsed() >= bound
-                    && conn.is_idle(&out.lock().expect("outbound lock"))
-            })
-            .map(|(&token, _)| token)
-            .collect();
-        for token in expired {
-            let (_, out) = self.conns.get_mut(&token).expect("conn");
-            append_error_frame(
-                &mut out.lock().expect("outbound lock"),
-                IDLE_TIMEOUT_MESSAGE,
-            );
+        let now = Instant::now();
+        if now < self.next_sweep {
+            return;
+        }
+        self.next_sweep = now + tick;
+        let idle_bound = self.services.config.idle_timeout;
+        self.watching = false;
+        let mut due = Vec::new();
+        for (&token, (conn, out)) in &self.conns {
+            let quiet = now.saturating_duration_since(conn.last_activity);
+            if conn.has_partial_input() {
+                self.watching = true;
+                if quiet >= STALL_TIMEOUT {
+                    due.push((token, false));
+                }
+            } else if idle_bound.is_some_and(|bound| quiet >= bound)
+                && conn.is_idle(&out.lock().expect("outbound lock"))
+            {
+                due.push((token, true));
+            }
+        }
+        for (token, idle) in due {
+            if idle {
+                let (_, out) = &self.conns[&token];
+                append_error_frame(
+                    &mut out.lock().expect("outbound lock"),
+                    IDLE_TIMEOUT_MESSAGE,
+                );
+            }
             self.advance(token);
         }
     }
@@ -488,31 +513,21 @@ impl Loop {
             }
             for &(token, revents) in events.iter() {
                 if token == TOKEN_WAKE {
-                    self.wake.drain();
+                    self.dispatch.wake.drain();
                 } else if token >= FIRST_CONN_TOKEN && revents & EPOLLOUT != 0 {
-                    if let Some((conn, out)) = self.conns.get_mut(&token) {
-                        if !flush_outbound(conn, out, &self.collector) {
-                            self.close(token);
-                        }
-                    }
+                    self.flush_or_close(token);
                 }
             }
             let done = std::mem::take(&mut *self.dispatch.done.lock().expect("done lock"));
             for token in done {
-                if let Some((conn, out)) = self.conns.get_mut(&token) {
+                if let Some((conn, _)) = self.conns.get_mut(&token) {
                     conn.in_flight = false;
-                    if !flush_outbound(conn, out, &self.collector) {
-                        self.close(token);
-                    }
+                    self.flush_or_close(token);
                 }
             }
         }
         // Anyone still connected gets told why, best effort, then closed.
-        let mut notice = Vec::new();
-        let response = WireResponse::ServerError {
-            message: "server shutting down".into(),
-        };
-        write_frame(&mut notice, &encode_response(&response)).expect("vec write");
+        let notice = error_frame("server shutting down");
         let tokens: Vec<u64> = self.conns.keys().copied().collect();
         for token in tokens {
             if let Some((conn, _)) = self.conns.get_mut(&token) {
@@ -522,18 +537,22 @@ impl Loop {
         }
     }
 
+    fn flush_or_close(&mut self, token: u64) {
+        if let Some((conn, out)) = self.conns.get_mut(&token) {
+            if !flush_outbound(conn, out, &self.services.collector) {
+                self.close(token);
+            }
+        }
+    }
+
     fn close(&mut self, token: u64) {
         if let Some((conn, _)) = self.conns.remove(&token) {
             let _ = self.epoll.delete(conn.stream.as_raw_fd());
-            self.engine.metrics_registry().note_connection_closed();
+            self.services
+                .engine
+                .metrics_registry()
+                .note_connection_closed();
         }
-    }
-}
-
-impl Dispatch {
-    fn push(&self, job: Job) {
-        self.jobs.lock().expect("jobs lock").push_back(job);
-        self.work.notify_one();
     }
 }
 
@@ -582,7 +601,7 @@ fn read_available(conn: &mut Conn) -> bool {
 /// the HTTP head once `GET ` is sniffed where a length prefix belongs).
 /// Frame-layer errors park in `pending_error` so already-queued frames
 /// are still answered first.
-fn parse_available(conn: &mut Conn, config: &ServeConfig) {
+fn parse_available(conn: &mut Conn, max_frame_len: u32) {
     if conn.pending_error.is_some() {
         return;
     }
@@ -598,7 +617,7 @@ fn parse_available(conn: &mut Conn, config: &ServeConfig) {
             conn.http_head = Some(head);
         } else {
             loop {
-                match try_parse_frame(&conn.read_buf, config.limits.max_frame_len) {
+                match try_parse_frame(&conn.read_buf, max_frame_len) {
                     Ok(None) => break,
                     Ok(Some((consumed, body))) => {
                         conn.read_buf.drain(..consumed);
@@ -615,33 +634,50 @@ fn parse_available(conn: &mut Conn, config: &ServeConfig) {
             }
         }
     }
-    if conn.peer_eof && conn.http_head.is_none() && !conn.read_buf.is_empty() {
-        // EOF mid-frame: the peer walked away with a frame half-sent.
+    if conn.http_head.is_none() && !conn.read_buf.is_empty() && (conn.peer_eof || conn.is_stalled())
+    {
+        // The peer walked away, or went quiet, with a frame half-sent.
+        let cause = if conn.peer_eof {
+            "truncated frame header"
+        } else {
+            "frame stalled mid-transfer"
+        };
         conn.read_buf.clear();
-        conn.pending_error = Some(WireError::Malformed("truncated frame header".into()));
+        conn.pending_error = Some(WireError::Malformed(cause.into()));
     }
 }
 
 /// Takes the HTTP head for dispatch once it is complete (blank line seen,
-/// cap reached, or the peer finished sending).
+/// cap reached, the peer finished sending, or it stalled): the response
+/// needs only the request line, so a stalled head is answered from the
+/// bytes that arrived.
 fn take_complete_http_head(conn: &mut Conn) -> Option<Vec<u8>> {
     let head = conn.http_head.as_ref()?;
-    if contains_blank_line(head) || head.len() >= MAX_HTTP_HEAD || conn.peer_eof {
+    if contains_blank_line(head)
+        || head.len() >= MAX_HTTP_HEAD
+        || conn.peer_eof
+        || conn.is_stalled()
+    {
         conn.http_head.take()
     } else {
         None
     }
 }
 
-/// Appends one typed `ServerError` frame and marks the connection for
-/// close-after-drain.
-fn append_error_frame(out: &mut Outbound, message: &str) {
+/// A framed `ServerError` response.
+fn error_frame(message: &str) -> Vec<u8> {
     let response = WireResponse::ServerError {
         message: message.into(),
     };
-    let before = out.buf.len();
-    write_frame(&mut out.buf, &encode_response(&response)).expect("vec write");
-    out.total_enqueued += (out.buf.len() - before) as u64;
+    let mut frame = Vec::new();
+    write_frame(&mut frame, &encode_response(&response)).expect("vec write");
+    frame
+}
+
+/// Appends one typed `ServerError` frame and marks the connection for
+/// close-after-drain.
+fn append_error_frame(out: &mut Outbound, message: &str) {
+    out.enqueue(&error_frame(message));
     out.closing = true;
 }
 
@@ -664,7 +700,17 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
             Err(_) => return false,
         }
     }
-    finish_flushed_traces(&mut out, collector);
+    // Finish the trace of every request whose response is now fully on
+    // the wire.
+    let flushed = out.total_flushed;
+    let done = out
+        .pending_traces
+        .iter()
+        .take_while(|t| t.end_abs <= flushed)
+        .count();
+    for trace in out.pending_traces.drain(..done) {
+        trace.finish(collector);
+    }
     if out.is_drained() {
         out.buf.clear();
         out.start = 0;
@@ -681,47 +727,10 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
     }
 }
 
-/// Closes the write span of every pending trace whose response bytes are
-/// fully on the wire, and hands the completed trace to the collector —
-/// the event-loop analogue of the thread-pool core's post-flush stamp.
-fn finish_flushed_traces(out: &mut Outbound, collector: &TraceCollector) {
-    let flushed = out.total_flushed;
-    let done = out
-        .pending_traces
-        .iter()
-        .take_while(|t| t.end_abs <= flushed)
-        .count();
-    for trace in out.pending_traces.drain(..done) {
-        // A stack array, not a Vec: finish is on the per-request path.
-        let mut spans = [Span::new(SpanKind::Write, 0); 4];
-        let mut count = 0;
-        if trace.client_encode_ns > 0 {
-            spans[count] = Span::new(SpanKind::ClientEncode, trace.client_encode_ns);
-            count += 1;
-        }
-        spans[count] = Span::new(SpanKind::Decode, trace.decode_ns);
-        spans[count + 1] = trace.handle;
-        spans[count + 2] = Span::new(SpanKind::Write, elapsed_ns(trace.enqueued));
-        count += 3;
-        collector.finish(
-            trace.ctx,
-            trace.kind,
-            elapsed_ns(trace.started),
-            &spans[..count],
-        );
-    }
-}
-
-/// A dispatch worker: all CPU work (decode → handle → encode) for one job
-/// at a time, never touching a socket.  Wire-level histograms are
-/// recorded here — the loop thread stays out of the measurement.
-fn dispatch_loop(
-    dispatch: &Dispatch,
-    engine: &Arc<AuditEngine>,
-    queue: &Arc<IngestQueue>,
-    collector: &Arc<TraceCollector>,
-    config: &ServeConfig,
-) {
+/// A dispatch worker: all CPU work for one job at a time, never touching
+/// a socket.  Wire-level histograms are recorded here (in
+/// [`serve_frame`]) — the loop thread stays out of the measurement.
+fn dispatch_loop(dispatch: &Dispatch, services: &Services) {
     loop {
         let job = {
             let mut jobs = dispatch.jobs.lock().expect("jobs lock");
@@ -739,98 +748,44 @@ fn dispatch_loop(
                     .0;
             }
         };
-        let registry = engine.metrics_registry();
-        match job {
+        let (token, out, encoded, traces, closing) = match job {
             Job::Frames { token, frames, out } => {
                 let mut encoded = Vec::new();
-                // Per-request trace state, keyed by the response's end
-                // offset within `encoded`; anchored to the outbound
-                // stream position when the batch is appended below.
+                // Each trace's `end_abs` is its response's end offset within
+                // `encoded` until the batch is anchored to the stream below.
                 let mut traces = Vec::new();
                 let mut closing = false;
                 for frame in frames {
-                    let request_started = Instant::now();
-                    let decoded = decode_request_traced(frame, &config.limits);
-                    let decode_ns = elapsed_ns(request_started);
-                    registry.record_frame_decode(decode_ns);
-                    match decoded {
-                        Ok((request, wire_trace)) => {
-                            let ctx = collector.admit(wire_trace.map(|t| t.context));
-                            let kind = request_kind(&request);
-                            let service_started = Instant::now();
-                            let (response, index_hits, memo_hits) =
-                                handle_request(request, engine, queue, config, collector, ctx);
-                            let service_ns = elapsed_ns(service_started);
-                            registry
-                                .record_request_service_traced(service_ns, ctx.map(|c| c.trace_id));
-                            write_frame(&mut encoded, &encode_response(&response))
-                                .expect("vec write");
-                            traces.push(PendingTrace {
-                                end_abs: encoded.len() as u64,
-                                started: request_started,
-                                enqueued: request_started,
-                                ctx,
-                                kind,
-                                client_encode_ns: wire_trace
-                                    .map(|t| t.client_encode_ns)
-                                    .unwrap_or(0),
-                                decode_ns,
-                                handle: Span {
-                                    kind: SpanKind::Handle,
-                                    duration_ns: service_ns,
-                                    index_hits,
-                                    memo_hits,
-                                },
-                            });
-                        }
+                    match serve_frame(frame, services, &mut encoded) {
+                        Ok(trace) => traces.push(trace),
                         Err(e) => {
-                            // Same contract as the thread-pool core: a
-                            // typed error frame, then close; frames after
+                            // A typed error frame, then close; frames after
                             // the bad one are not answered.
-                            let response = WireResponse::ServerError {
-                                message: e.to_string(),
-                            };
-                            write_frame(&mut encoded, &encode_response(&response))
-                                .expect("vec write");
+                            encoded.extend_from_slice(&error_frame(&e.to_string()));
                             closing = true;
                             break;
                         }
                     }
                 }
-                {
-                    let mut out = out.lock().expect("outbound lock");
-                    let base = out.total_enqueued;
-                    let now = Instant::now();
-                    out.buf.extend_from_slice(&encoded);
-                    out.total_enqueued += encoded.len() as u64;
-                    for mut trace in traces {
-                        trace.end_abs += base;
-                        trace.enqueued = now;
-                        out.pending_traces.push(trace);
-                    }
-                    if closing {
-                        out.closing = true;
-                    }
-                }
-                dispatch.report_done(token);
+                (token, out, encoded, traces, closing)
             }
             Job::Http { token, head, out } => {
-                let response = http_response_for(&head, engine, collector);
-                {
-                    let mut out = out.lock().expect("outbound lock");
-                    out.buf.extend_from_slice(&response);
-                    out.total_enqueued += response.len() as u64;
-                    out.closing = true;
-                }
-                dispatch.report_done(token);
+                let response = http_response_for(&head, &services.engine, &services.collector);
+                (token, out, response, Vec::new(), true)
             }
+        };
+        {
+            let mut out = out.lock().expect("outbound lock");
+            let base = out.total_enqueued;
+            let now = Instant::now();
+            out.enqueue(&encoded);
+            for mut trace in traces {
+                trace.end_abs += base;
+                trace.enqueued = now;
+                out.pending_traces.push(trace);
+            }
+            out.closing |= closing;
         }
-    }
-}
-
-impl Dispatch {
-    fn report_done(&self, token: u64) {
-        self.done.lock().expect("done lock").push(token);
-        self.wake.wake();
+        dispatch.report_done(token);
     }
 }

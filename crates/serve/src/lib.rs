@@ -20,23 +20,21 @@
 //! * [`wire`] — length-prefixed, CRC-guarded, versioned framing with
 //!   decode-side caps: a hostile length prefix or record count is a typed
 //!   error before any allocation, never memory exhaustion;
-//! * [`codec`] — the binary message codec; embedded records reuse the
-//!   store's DAG body format, so sharing-heavy provenance stays O(DAG) on
-//!   the wire and re-interns on arrival;
-//! * [`server`] — the [`AuditServer`] with two interchangeable cores
-//!   ([`ServerCore`]): a readiness-based **epoll event loop** (Linux
-//!   default — one loop thread owning accept and every connection's
-//!   read-accumulate → decode → handle → write-drain state machine, CPU
-//!   work on a small dispatch pool, so thousands of idle connections cost
-//!   only a registered fd) and a portable bounded **accept/worker pool**;
-//!   both share per-connection request pipelining, a plaintext
-//!   `GET /metrics` scrape answer, [`ServeConfig::idle_timeout`]
-//!   enforcement, and **back-pressure on ingest** through the engine's
-//!   bounded [`piprov_audit::IngestQueue`] (overflow answers a typed
-//!   `Busy`, each accepted batch applies under one write-lock
-//!   acquisition);
-//! * [`poll`] (Linux) — the zero-dependency `epoll`/`eventfd` FFI shim
-//!   the event loop stands on;
+//! * [`codec`] — the binary message codec, one definition per type;
+//!   embedded records reuse the store's DAG body format, so sharing-heavy
+//!   provenance stays O(DAG) on the wire and re-interns on arrival;
+//! * [`server`] — the [`AuditServer`]: one readiness-based **epoll event
+//!   loop** owns accept and every connection's read-accumulate → decode →
+//!   handle → write-drain state machine, with the CPU work on a small
+//!   dispatch pool, so thousands of idle connections cost only a
+//!   registered fd.  It pipelines requests per connection, answers a
+//!   plaintext `GET /metrics` scrape on the framed port, bounds stalled
+//!   and (with [`ServeConfig::idle_timeout`]) idle connections, and
+//!   applies **back-pressure on ingest** through the engine's bounded
+//!   [`piprov_audit::IngestQueue`] (overflow answers a typed `Busy`, each
+//!   accepted batch applies under one write-lock acquisition);
+//! * [`poll`] — the zero-dependency `epoll`/`eventfd` FFI shim the event
+//!   loop stands on;
 //! * [`client`] — the blocking [`AuditClient`] with pipelined queries and
 //!   two ingest modes (blocking, fire-and-batch); by default every
 //!   request carries a wire-propagated sampled trace context, and
@@ -45,6 +43,8 @@
 //! * [`recorder`] — the [`RemoteRecorder`]
 //!   [`piprov_runtime::DeliverySink`], so a simulation streams deliveries
 //!   into a server in another process.
+//!
+//! The crate runs on Linux only: its serving core is built on `epoll`.
 //!
 //! ```
 //! use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
@@ -88,11 +88,12 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("piprov-serve runs on Linux only: its serving core is built on epoll");
+
 pub mod client;
 pub mod codec;
-#[cfg(target_os = "linux")]
 mod event_loop;
-#[cfg(target_os = "linux")]
 pub mod poll;
 pub mod recorder;
 pub mod server;
@@ -103,8 +104,5 @@ pub use client::{
 };
 pub use codec::{request_kind, RequestTrace, WireRequest, WireResponse};
 pub use recorder::RemoteRecorder;
-pub use server::{AuditServer, ServeConfig, ServerCore};
-pub use wire::{
-    WireError, WireLimits, DEFAULT_MAX_FRAME_LEN, DEFAULT_MAX_RECORDS, MIN_WIRE_VERSION,
-    WIRE_VERSION,
-};
+pub use server::{AuditServer, ServeConfig};
+pub use wire::{WireError, WireLimits, DEFAULT_MAX_FRAME_LEN, DEFAULT_MAX_RECORDS, WIRE_VERSION};

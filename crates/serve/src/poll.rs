@@ -1,4 +1,4 @@
-//! Readiness polling for the event-loop server core: a minimal, safe
+//! Readiness polling for the serving core: a minimal, safe
 //! wrapper over Linux `epoll(7)` and `eventfd(2)`, bound by raw
 //! `extern "C"` declarations against the system libc (the build
 //! environment has no crates.io access, so there is no `libc` crate to
@@ -10,9 +10,6 @@
 //! on drop) and never hands out raw pointers: callers see
 //! [`Epoll::wait`] filling a `Vec<(u64, u32)>` of `(token, readiness)`
 //! pairs and nothing lower-level.
-//!
-//! Only compiled on Linux (`#[cfg(target_os = "linux")]` at the module
-//! declaration); the thread-pool core remains the portable fallback.
 
 #![allow(unsafe_code)]
 
@@ -190,8 +187,8 @@ impl Drop for Epoll {
 
 /// An `eventfd`-backed wake-up: any thread may [`WakeFd::wake`] the
 /// event loop out of `epoll_wait`; the loop [`WakeFd::drain`]s the
-/// counter and checks its queues.  Replaces the thread-pool core's
-/// per-connection 200 ms read-timeout poll.
+/// counter and checks its queues, so stopping the server needs no
+/// polling loop.
 #[derive(Debug)]
 pub struct WakeFd {
     fd: RawFd,

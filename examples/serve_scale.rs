@@ -36,15 +36,6 @@ fn record(i: u64) -> ProvenanceRecord {
     )
 }
 
-#[cfg(not(target_os = "linux"))]
-fn main() {
-    // Off Linux the event loop falls back to the thread pool, whose
-    // workers would each be pinned by one idle connection — there is no
-    // scaling claim to check.
-    println!("serve_scale: skipped (the event-loop core is Linux-only)");
-}
-
-#[cfg(target_os = "linux")]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let target: usize = std::env::var("PIPROV_SCALE_CONNS")
         .ok()
@@ -76,13 +67,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Arc::clone(&engine),
         "127.0.0.1:0",
         ServeConfig {
-            core: ServerCore::EventLoop,
             workers: 2,
             ..ServeConfig::default()
         },
     )?;
     let addr = server.local_addr();
-    println!("serve_scale: {} core on {}", server.core().name(), addr);
+    println!("serve_scale: event-loop core on {}", addr);
 
     // Park the idle herd first, so the active traffic below runs with
     // the full population registered in the event loop.
