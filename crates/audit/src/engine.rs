@@ -587,6 +587,52 @@ impl AuditEngine {
         self.snapshot.load().len()
     }
 
+    /// The prologue `VetValue`, `Why` and `Counterfactual` share: resolves
+    /// `pattern` to its automaton and `value` to its newest record, which
+    /// carries the value's current history, with the posting-list hits
+    /// charged to the returned stats.  An unknown policy or value is
+    /// answered here, and the `Err` is that whole response.
+    fn vet_target<'s>(
+        &self,
+        snapshot: &'s EngineSnapshot,
+        policies: &PolicySet,
+        value: &piprov_core::value::Value,
+        pattern: &str,
+    ) -> Result<(Arc<CompiledPattern>, &'s ProvenanceRecord, RequestStats), Box<AuditResponse>>
+    {
+        let watermark = snapshot.watermark();
+        let pack_version = policies.version();
+        let Some(entry) = policies.get(pattern) else {
+            // No per-policy row to land in: counted separately.  The
+            // payload spares the operator a second round trip: every
+            // registered name, plus the nearest if the request looks
+            // like a typo for it.
+            self.metrics.note_unknown_pattern();
+            let known = policies.names();
+            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
+            return Err(Box::new(AuditResponse::new(
+                AuditOutcome::UnknownPattern { known, nearest },
+                RequestStats::default(),
+                watermark,
+                pack_version,
+            )));
+        };
+        let postings = snapshot.index().by_value(value);
+        let stats = RequestStats {
+            index_hits: postings.len(),
+            ..RequestStats::default()
+        };
+        match postings.last().and_then(|seq| snapshot.get(seq)) {
+            Some(record) => Ok((Arc::clone(&entry.compiled), record, stats)),
+            None => Err(Box::new(AuditResponse::new(
+                AuditOutcome::UnknownValue,
+                stats,
+                watermark,
+                pack_version,
+            ))),
+        }
+    }
+
     fn vet_value(
         &self,
         snapshot: &EngineSnapshot,
@@ -600,36 +646,21 @@ impl AuditEngine {
         // record itself is a handful of relaxed atomic adds (the
         // `e15_metrics` bench group keeps that overhead measured).
         let started = Instant::now();
-        let watermark = snapshot.watermark();
-        let pack_version = policies.version();
-        let Some(entry) = policies.get(pattern) else {
-            // No per-policy row to land in: counted separately.  The
-            // payload spares the operator a second round trip: every
-            // registered name, plus the nearest if the request looks
-            // like a typo for it.
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
-        };
-        let compiled = Arc::clone(&entry.compiled);
+        let target = self.vet_target(snapshot, policies, value, pattern);
         let policy = self.metrics.policy(pattern);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        // The newest record carries the value's current history.
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
-            if let Some(policy) = &policy {
-                policy.record_traced(elapsed_ns(started), VetOutcomeKind::UnknownValue, trace_id);
+        let (compiled, record, mut stats) = match target {
+            Ok(target) => target,
+            Err(answer) => {
+                // Only an unknown value has a policy row to land in.
+                if let (AuditOutcome::UnknownValue, Some(policy)) = (&answer.outcome, &policy) {
+                    policy.record_traced(
+                        elapsed_ns(started),
+                        VetOutcomeKind::UnknownValue,
+                        trace_id,
+                    );
+                }
+                return *answer;
             }
-            return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
         };
         let (verdict, match_stats) = compiled.matches_with_stats(&record.provenance);
         stats.memo_hits = match_stats.memo_hits;
@@ -650,8 +681,8 @@ impl AuditEngine {
                 sequence: record.sequence,
             },
             stats,
-            watermark,
-            pack_version,
+            snapshot.watermark(),
+            policies.version(),
         )
     }
 
@@ -767,34 +798,22 @@ impl AuditEngine {
         value: &piprov_core::value::Value,
         pattern: &str,
     ) -> AuditResponse {
-        let watermark = snapshot.watermark();
-        let pack_version = policies.version();
-        let Some(entry) = policies.get(pattern) else {
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
-        };
-        let compiled = Arc::clone(&entry.compiled);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
-            return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
-        };
+        let (compiled, record, mut stats) =
+            match self.vet_target(snapshot, policies, value, pattern) {
+                Ok(target) => target,
+                Err(answer) => return *answer,
+            };
         let mut match_stats = MatchStats::default();
         let trail = compiled.witness(&record.provenance, &mut match_stats);
         stats.memo_hits = match_stats.memo_hits;
         stats.dag_nodes_visited = match_stats.nodes_visited;
         let slice = WhySlice::from_trail(trail, record.sequence);
-        AuditResponse::new(AuditOutcome::Why(slice), stats, watermark, pack_version)
+        AuditResponse::new(
+            AuditOutcome::Why(slice),
+            stats,
+            snapshot.watermark(),
+            policies.version(),
+        )
     }
 
     /// Serves [`AuditRequest::Counterfactual`]: vets the newest history
@@ -811,29 +830,12 @@ impl AuditEngine {
         pattern: &str,
         remove: &EventFilter,
     ) -> AuditResponse {
-        let watermark = snapshot.watermark();
-        let pack_version = policies.version();
-        let Some(entry) = policies.get(pattern) else {
-            self.metrics.note_unknown_pattern();
-            let known = policies.names();
-            let nearest = piprov_policy::nearest_name(pattern, known.iter().map(String::as_str));
-            return AuditResponse::new(
-                AuditOutcome::UnknownPattern { known, nearest },
-                RequestStats::default(),
-                watermark,
-                pack_version,
-            );
-        };
-        let compiled = Arc::clone(&entry.compiled);
+        let (compiled, record, mut stats) =
+            match self.vet_target(snapshot, policies, value, pattern) {
+                Ok(target) => target,
+                Err(answer) => return *answer,
+            };
         let policy = self.metrics.policy(pattern);
-        let postings = snapshot.index().by_value(value);
-        let mut stats = RequestStats {
-            index_hits: postings.len(),
-            ..RequestStats::default()
-        };
-        let Some(record) = postings.last().and_then(|seq| snapshot.get(seq)) else {
-            return AuditResponse::new(AuditOutcome::UnknownValue, stats, watermark, pack_version);
-        };
         let (original, original_stats) = compiled.matches_with_stats(&record.provenance);
         let view = filtered_view(&record.provenance, remove);
         let (counterfactual, cf_stats) = compiled.matches_with_stats(&view.provenance);
@@ -852,8 +854,8 @@ impl AuditEngine {
         AuditResponse::new(
             AuditOutcome::Counterfactual(verdict),
             stats,
-            watermark,
-            pack_version,
+            snapshot.watermark(),
+            policies.version(),
         )
     }
 
@@ -1004,6 +1006,61 @@ mod tests {
         );
         assert_eq!(engine.pattern_names(), vec!["any".to_string()]);
         assert!(engine.pattern_memo_stats("nope").is_none());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn policy_requests_share_the_unknown_policy_and_value_answers() {
+        type MakeRequest = fn(Value, String) -> AuditRequest;
+        let kinds: [(&str, MakeRequest); 3] = [
+            ("VetValue", |value, pattern| AuditRequest::VetValue {
+                value,
+                pattern,
+            }),
+            ("Why", |value, pattern| AuditRequest::Why { value, pattern }),
+            ("Counterfactual", |value, pattern| {
+                AuditRequest::Counterfactual {
+                    value,
+                    pattern,
+                    remove: EventFilter::Principal(Principal::new("s")),
+                }
+            }),
+        ];
+        let unknown_policy = AuditOutcome::UnknownPattern {
+            known: vec!["origin-a".to_string()],
+            nearest: Some("origin-a".to_string()),
+        };
+        let cases = [
+            ("v", "orign-a", unknown_policy),
+            ("ghost", "origin-a", AuditOutcome::UnknownValue),
+        ];
+        let dir = temp_dir("prologue");
+        let engine = seeded_engine(&dir);
+        engine.register_pattern("origin-a", Pattern::originated_at(GroupExpr::single("a")));
+        for (kind, make) in kinds {
+            for (name, pattern, expected) in &cases {
+                let before = engine.metrics();
+                let response = engine.handle(&make(value(name), pattern.to_string()));
+                let after = engine.metrics();
+                let case = format!("{kind} of {name} under {pattern}");
+                assert_eq!(&response.outcome, expected, "{case}");
+                assert_eq!(response.stats, RequestStats::default(), "{case}");
+                assert_eq!(response.watermark, 4, "{case}");
+                assert_eq!(response.pack_version, engine.pack_version(), "{case}");
+                let is_unknown_policy = matches!(expected, AuditOutcome::UnknownPattern { .. });
+                assert_eq!(
+                    after.vets_unknown_pattern - before.vets_unknown_pattern,
+                    u64::from(is_unknown_policy),
+                    "{case}"
+                );
+                // Only a vet lands in the policy's unknown-value row.
+                assert_eq!(
+                    after.policies[0].vets_unknown_value - before.policies[0].vets_unknown_value,
+                    u64::from(kind == "VetValue" && !is_unknown_policy),
+                    "{case}"
+                );
+            }
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -39,7 +39,8 @@
 //!   delivered messages into the engine while auditors query it;
 //! * [`ingest`] — the bounded [`IngestQueue`]: batched ingest with typed
 //!   back-pressure (`Busy` instead of unbounded buffering), each batch
-//!   applied under one write-lock acquisition;
+//!   appended under one log-mutex acquisition and published as one
+//!   snapshot;
 //! * [`metrics`] — the observability plane: a [`MetricsRegistry`] of
 //!   per-policy verdict counters and lock-free latency histograms recorded
 //!   on the vet hot path, the aggregated [`MetricsSnapshot`] over every

@@ -302,12 +302,12 @@ impl MetricsRegistry {
         self.request_service.record_traced(elapsed_ns, trace_id);
     }
 
-    /// Counts one accepted TCP connection (either server core).
+    /// Counts one accepted TCP connection.
     pub fn note_connection_accepted(&self) {
         self.connections_accepted.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Counts one closed TCP connection (either server core).
+    /// Counts one closed TCP connection.
     pub fn note_connection_closed(&self) {
         self.connections_closed.fetch_add(1, Ordering::Relaxed);
     }
@@ -488,7 +488,7 @@ impl AuditEngine {
     /// and per shard), and each registered policy's memo, verdict counters
     /// and latency histogram — into one [`MetricsSnapshot`].
     ///
-    /// An operator/scrape path: it takes the store read lock briefly for
+    /// An operator/scrape path: it takes the log mutex briefly for
     /// [`StoreStats`] and never touches the query hot path.
     pub fn metrics(&self) -> MetricsSnapshot {
         let registry = self.metrics_registry();
@@ -668,7 +668,7 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
         &mut out,
         "piprov_ingest_batches_total",
         c,
-        "Ingest batches applied (one write-lock acquisition each).",
+        "Ingest batches applied (one log-mutex acquisition each).",
         ingest_batches,
     );
     scalar(
@@ -837,7 +837,7 @@ pub fn render_exposition_with(snapshot: &MetricsSnapshot, options: &ExpositionOp
     plain_histogram(
         &mut out,
         "piprov_frame_decode_seconds",
-        "Wire frame decode time (frame body to typed request), either server core.",
+        "Wire frame decode time (frame body to typed request).",
         frame_decode,
         options,
     );

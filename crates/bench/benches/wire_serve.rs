@@ -13,7 +13,7 @@
 //! * **batched-vs-unbatched ingest ablation** — the same record stream
 //!   shipped one-per-request vs in 32-record batches, printed as a
 //!   records/s table: what fire-and-batch mode (one round trip and one
-//!   write-lock acquisition per batch) buys over the wire.
+//!   log-mutex acquisition per batch) buys over the wire.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use piprov_audit::{AuditConfig, AuditEngine, AuditOutcome, AuditRequest};
@@ -203,7 +203,7 @@ fn bench_ingest_ablation() {
         "\ne13_wire/ingest_ablation — {} records over loopback",
         RECORDS
     );
-    println!("| mode | wall time | records/s | write-lock acquisitions |");
+    println!("| mode | wall time | records/s | log-mutex acquisitions |");
     println!("|---|---|---|---|");
     for (label, batch_size) in [
         ("unbatched (1/request)", 1usize),

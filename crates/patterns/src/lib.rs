@@ -13,8 +13,8 @@
 //!   matching ([`nfa`]),
 //! * a parser for a concrete pattern syntax ([`parse`]),
 //! * [`SamplePatterns`], an implementation of
-//!   [`piprov_core::pattern::PatternLanguage`] that plugs either engine into
-//!   the reduction semantics.
+//!   [`piprov_core::pattern::PatternLanguage`] that plugs the compiled engine
+//!   into the reduction semantics.
 //!
 //! ```
 //! use piprov_core::pattern::PatternLanguage;
@@ -40,8 +40,7 @@ pub mod parse;
 
 pub use ast::{EventPattern, GroupExpr, Pattern};
 pub use nfa::{
-    CompiledPattern, MatchStats, MemoEviction, MemoStats, WitnessStep, WitnessTrail,
-    DEFAULT_MEMO_BOUND,
+    CompiledPattern, MatchStats, MemoStats, WitnessStep, WitnessTrail, DEFAULT_MEMO_BOUND,
 };
 pub use parse::{parse_pattern, ParsePatternError};
 
@@ -50,54 +49,24 @@ use piprov_core::provenance::Provenance;
 use std::collections::HashMap;
 use std::sync::Mutex;
 
-/// Which engine a [`SamplePatterns`] matcher uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// The reference backtracking matcher (the paper's rules verbatim).
-    Reference,
-    /// The compiled NFA engine with a per-pattern compilation cache.
-    #[default]
-    Compiled,
-}
-
 /// The sample pattern language packaged as a
 /// [`PatternLanguage`] instance, so it
 /// can drive the reduction semantics of `piprov-core`.
 ///
-/// The compiled engine memoises compilations keyed by the pattern's textual
-/// form, so repeated vetting of the same input pattern (the common case in
-/// long simulation runs) costs one hash lookup plus an NFA simulation.
+/// Patterns are compiled to NFAs ([`CompiledPattern`]) and the automata are
+/// cached keyed by the pattern, so repeated vetting of the same input
+/// pattern (the common case in long simulation runs) costs one hash lookup
+/// plus a memoized NFA simulation.  [`matching::satisfies`] stays the
+/// reference the engine is tested against.
 #[derive(Debug, Default)]
 pub struct SamplePatterns {
-    engine: Engine,
     cache: Mutex<HashMap<Pattern, CompiledPattern>>,
 }
 
 impl SamplePatterns {
-    /// A matcher using the default (compiled) engine.
+    /// A matcher with an empty compilation cache.
     pub fn new() -> Self {
         SamplePatterns::default()
-    }
-
-    /// A matcher using the reference backtracking engine.
-    pub fn reference() -> Self {
-        SamplePatterns {
-            engine: Engine::Reference,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// A matcher using the compiled NFA engine.
-    pub fn compiled() -> Self {
-        SamplePatterns {
-            engine: Engine::Compiled,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The engine in use.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Number of patterns currently in the compilation cache.
@@ -107,11 +76,9 @@ impl SamplePatterns {
 }
 
 impl Clone for SamplePatterns {
+    /// Clones start with a cold compilation cache.
     fn clone(&self) -> Self {
-        SamplePatterns {
-            engine: self.engine,
-            cache: Mutex::new(HashMap::new()),
-        }
+        SamplePatterns::new()
     }
 }
 
@@ -119,19 +86,14 @@ impl PatternLanguage for SamplePatterns {
     type Pattern = Pattern;
 
     fn satisfies(&self, provenance: &Provenance, pattern: &Pattern) -> bool {
-        match self.engine {
-            Engine::Reference => matching::satisfies(provenance, pattern),
-            Engine::Compiled => {
-                let mut cache = match self.cache.lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                };
-                let compiled = cache
-                    .entry(pattern.clone())
-                    .or_insert_with(|| CompiledPattern::compile(pattern));
-                compiled.matches(provenance)
-            }
-        }
+        let mut cache = match self.cache.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        };
+        cache
+            .entry(pattern.clone())
+            .or_insert_with(|| CompiledPattern::compile(pattern))
+            .matches(provenance)
     }
 }
 
@@ -148,11 +110,10 @@ mod tests {
     #[test]
     fn both_engines_agree_through_the_trait() {
         let pattern = parse_pattern("c!Any; Any").unwrap();
-        let reference = SamplePatterns::reference();
-        let compiled = SamplePatterns::compiled();
+        let compiled = SamplePatterns::new();
         for prov in [sent_by("c"), sent_by("d"), Provenance::empty()] {
             assert_eq!(
-                reference.satisfies(&prov, &pattern),
+                matching::satisfies(&prov, &pattern),
                 compiled.satisfies(&prov, &pattern)
             );
         }
@@ -160,27 +121,20 @@ mod tests {
 
     #[test]
     fn compiled_engine_caches_compilations() {
-        let matcher = SamplePatterns::compiled();
+        let matcher = SamplePatterns::new();
         let pattern = parse_pattern("Any; d!Any").unwrap();
         assert_eq!(matcher.cached_patterns(), 0);
         let _ = matcher.satisfies(&sent_by("d"), &pattern);
         let _ = matcher.satisfies(&sent_by("e"), &pattern);
         assert_eq!(matcher.cached_patterns(), 1);
     }
-
-    #[test]
-    fn default_engine_is_compiled() {
-        assert_eq!(SamplePatterns::new().engine(), Engine::Compiled);
-        assert_eq!(SamplePatterns::reference().engine(), Engine::Reference);
-        let cloned = SamplePatterns::new().clone();
-        assert_eq!(cloned.engine(), Engine::Compiled);
-    }
 }
 
 #[cfg(test)]
 mod proptests {
-    //! Property-based tests: the two engines agree on random patterns and
-    //! random provenance sequences, and parsing round-trips through display.
+    //! Property-based tests: the NFA engine agrees with the reference
+    //! matcher on random patterns and random provenance sequences, also
+    //! across memo rollovers, and parsing round-trips through display.
 
     use super::*;
     use piprov_core::name::Principal;
@@ -272,9 +226,30 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn nfa_agrees_with_reference(pattern in arb_pattern(2), prov in arb_provenance(1)) {
+        fn nfa_matches_the_reference_matcher(pattern in arb_pattern(2), prov in arb_provenance(1)) {
             let compiled = CompiledPattern::compile(&pattern);
             prop_assert_eq!(compiled.matches(&prov), matching::satisfies(&prov, &pattern));
+        }
+
+        #[test]
+        fn bounded_memo_matches_the_reference_across_rollovers(
+            pattern in arb_pattern(2),
+            bound in prop_oneof![Just(1usize), Just(2), Just(3), Just(8)],
+            pool in proptest::collection::vec(arb_provenance(1), 1..8),
+            order in proptest::collection::vec(0usize..64, 1..48),
+        ) {
+            // Tiny bounds force a rollover every few queries; drawing the
+            // queries from a small pool makes some entries hot, so both the
+            // survivors and the evicted tail are exercised.
+            let compiled = CompiledPattern::compile(&pattern);
+            compiled.set_memo_bound(bound);
+            for i in order {
+                let prov = &pool[i % pool.len()];
+                let expected = matching::satisfies(prov, &pattern);
+                prop_assert_eq!(compiled.matches(prov), expected);
+                prop_assert!(compiled.memo_stats().entries <= bound);
+                prop_assert_eq!(compiled.matches(prov), expected, "asked again");
+            }
         }
 
         #[test]

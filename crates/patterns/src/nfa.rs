@@ -23,21 +23,17 @@
 //! The memo is **bounded**: a long-lived automaton (an audit service vets
 //! requests for the lifetime of the process) caps the number of cached
 //! verdicts at a configurable bound ([`CompiledPattern::set_memo_bound`],
-//! default [`DEFAULT_MEMO_BOUND`]) and, when an insert would exceed it,
-//! starts a fresh **epoch**.  What the rollover does with the old epoch is
-//! the [`MemoEviction`] policy: [`MemoEviction::Wholesale`] clears
-//! everything (the original scheme), while the default
-//! [`MemoEviction::Generational`] keeps the entries that actually answered
-//! lookups during the ending epoch — up to half the bound — so a stable
-//! working set survives the rollover and only the one-shot tail pays the
+//! default [`DEFAULT_MEMO_BOUND`]).  When an insert would exceed it, the
+//! memo starts a fresh **epoch** and keeps only the entries that answered
+//! lookups during the ending one, up to half the bound.  A stable working
+//! set therefore survives the rollover and only the one-shot tail pays the
 //! cold-start cost again.  [`CompiledPattern::memo_stats`] reports entries,
 //! hits, misses, the epoch counter and the cumulative survivors.
 //!
-//! The equivalence of the two engines is checked by unit tests here and by
-//! property-based tests over random patterns and provenances.
+//! The engine is checked against the reference matcher by unit tests here
+//! and by property-based tests over random patterns and provenances.
 
 use crate::ast::{EventPattern, Pattern};
-use crate::matching::event_satisfies;
 use piprov_core::provenance::{Event, ProvId, Provenance};
 use std::collections::HashMap;
 use std::fmt;
@@ -68,20 +64,6 @@ type StateSet = Box<[u64]>;
 /// automaton level memoizes before starting a fresh epoch.
 pub const DEFAULT_MEMO_BOUND: usize = 65_536;
 
-/// What an epoch rollover does with the entries it is evicting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MemoEviction {
-    /// Clear the memo wholesale (the original scheme): every cached verdict
-    /// is dropped and the working set re-simulates from cold.
-    Wholesale,
-    /// Keep the **hot** entries of the ending epoch — those answered from
-    /// the memo since the last rollover — up to half the bound, so a stable
-    /// working set survives and only the one-shot tail is evicted.  The
-    /// default.
-    #[default]
-    Generational,
-}
-
 /// One cached verdict plus its generation bit: `hot` is set when the entry
 /// answers a lookup and cleared when it survives a rollover, so "hot" means
 /// *used during the current epoch*.
@@ -93,11 +75,8 @@ struct Cached {
 
 /// The bounded match memo of one automaton level.
 struct Memo {
-    /// Verdicts per suffix id, per state set at that suffix.
-    verdicts: HashMap<ProvId, HashMap<StateSet, Cached>>,
-    /// Total `(suffix, state set)` pairs held (kept incrementally; summing
-    /// the inner maps on every insert would be quadratic).
-    entries: usize,
+    /// Verdicts per `(suffix id, state set at that suffix)`.
+    verdicts: HashMap<(ProvId, StateSet), Cached>,
     /// Maximum entries before the next insert starts a new epoch.
     bound: usize,
     /// Number of epoch rollovers performed so far.
@@ -108,33 +87,25 @@ struct Memo {
     misses: u64,
     /// Entries that survived a rollover, summed over all rollovers.
     retained: u64,
-    /// What a rollover does with the evicted epoch.
-    eviction: MemoEviction,
 }
 
 impl Memo {
     fn new(bound: usize) -> Self {
         Memo {
             verdicts: HashMap::new(),
-            entries: 0,
             bound: bound.max(1),
             epochs: 0,
             hits: 0,
             misses: 0,
             retained: 0,
-            eviction: MemoEviction::default(),
         }
     }
 
-    fn lookup(&mut self, id: ProvId, states: &StateSet) -> Option<bool> {
-        let found = self
-            .verdicts
-            .get_mut(&id)
-            .and_then(|m| m.get_mut(states))
-            .map(|cached| {
-                cached.hot = true;
-                cached.verdict
-            });
+    fn lookup(&mut self, key: &(ProvId, StateSet)) -> Option<bool> {
+        let found = self.verdicts.get_mut(key).map(|cached| {
+            cached.hot = true;
+            cached.verdict
+        });
         match found {
             Some(_) => self.hits += 1,
             None => self.misses += 1,
@@ -142,69 +113,43 @@ impl Memo {
         found
     }
 
-    /// Starts a new epoch.  Under [`MemoEviction::Wholesale`] everything is
-    /// dropped; under [`MemoEviction::Generational`] up to `bound / 2` hot
-    /// entries survive with their hotness reset (they must earn their place
-    /// in the new epoch too).  Capping the survivors at half the bound
-    /// guarantees every rollover frees at least half the memo, so a fully
-    /// hot working set cannot wedge the memo into rolling over on every
-    /// insert.
+    /// Starts a new epoch, keeping up to `bound / 2` hot entries with their
+    /// hotness reset (they must earn their place in the new epoch too).
+    /// Capping the survivors at half the bound guarantees every rollover
+    /// frees at least half the memo, so a fully hot working set cannot
+    /// wedge the memo into rolling over on every insert.
     fn rollover(&mut self) {
-        match self.eviction {
-            MemoEviction::Wholesale => {
-                self.verdicts.clear();
-                self.entries = 0;
+        let mut budget = self.bound / 2;
+        self.verdicts.retain(|_, cached| {
+            let keep = cached.hot && budget > 0;
+            if keep {
+                cached.hot = false;
+                budget -= 1;
             }
-            MemoEviction::Generational => {
-                let budget = self.bound / 2;
-                let mut kept = 0usize;
-                self.verdicts.retain(|_, per_states| {
-                    per_states.retain(|_, cached| {
-                        if cached.hot && kept < budget {
-                            cached.hot = false;
-                            kept += 1;
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                    !per_states.is_empty()
-                });
-                self.entries = kept;
-                self.retained += kept as u64;
-            }
-        }
+            keep
+        });
+        self.retained += self.verdicts.len() as u64;
         self.epochs += 1;
     }
 
     /// Inserts one verdict, rolling the epoch over first if the memo is
-    /// full.  The invariant `entries <= bound` holds after every insert,
+    /// full.  The invariant `len <= bound` holds after every insert,
     /// whatever order verdicts arrive in (the rollover keeps at most
     /// `bound / 2 < bound` entries).
-    fn insert(&mut self, id: ProvId, states: StateSet, verdict: bool) {
-        if self.entries >= self.bound {
+    fn insert(&mut self, key: (ProvId, StateSet), verdict: bool) {
+        if self.verdicts.len() >= self.bound {
             self.rollover();
         }
-        if self
-            .verdicts
-            .entry(id)
-            .or_default()
-            .insert(
-                states,
-                Cached {
-                    verdict,
-                    hot: false,
-                },
-            )
-            .is_none()
-        {
-            self.entries += 1;
-        }
+        let cached = Cached {
+            verdict,
+            hot: false,
+        };
+        self.verdicts.insert(key, cached);
     }
 
     fn stats(&self) -> MemoStats {
         MemoStats {
-            entries: self.entries,
+            entries: self.verdicts.len(),
             bound: self.bound,
             epochs: self.epochs,
             hits: self.hits,
@@ -228,7 +173,7 @@ pub struct MemoStats {
     /// Lookups that fell through to NFA simulation.
     pub misses: u64,
     /// Entries that survived a rollover because they were hot, summed over
-    /// all rollovers (always 0 under [`MemoEviction::Wholesale`]).
+    /// all rollovers.
     pub retained: u64,
 }
 
@@ -345,8 +290,8 @@ pub struct CompiledPattern {
     start: usize,
     accept: usize,
     /// Match memo: verdict of simulating from a state set over the suffix
-    /// identified by an interned `ProvId`.  Bounded, with epoch-based
-    /// wholesale eviction (see the module docs).
+    /// identified by an interned `ProvId`.  Bounded, with generational
+    /// rollover (see the module docs).
     memo: Mutex<Memo>,
 }
 
@@ -366,14 +311,8 @@ impl Clone for CompiledPattern {
             atoms: self.atoms.clone(),
             start: self.start,
             accept: self.accept,
-            // The memo is a cache: clones start cold but keep the bound and
-            // eviction policy.
-            memo: Mutex::new({
-                let source = self.lock_memo();
-                let mut memo = Memo::new(source.bound);
-                memo.eviction = source.eviction;
-                memo
-            }),
+            // The memo is a cache: clones start cold but keep the bound.
+            memo: Mutex::new(Memo::new(self.lock_memo().bound)),
         }
     }
 }
@@ -496,7 +435,7 @@ impl CompiledPattern {
     /// Number of `(suffix, state set)` verdicts currently memoized at this
     /// level (nested channel automata keep their own memos).
     pub fn memo_entries(&self) -> usize {
-        self.lock_memo().entries
+        self.lock_memo().verdicts.len()
     }
 
     /// A snapshot of this level's memo occupancy and traffic (nested
@@ -507,31 +446,19 @@ impl CompiledPattern {
 
     /// Sets the memo bound of this automaton *and every nested channel
     /// automaton*, clamped to at least 1.  If the memo currently holds
-    /// more entries than the new bound, it is cleared immediately (a new
-    /// epoch), so `memo_entries() <= bound` holds from the moment this
-    /// returns.
+    /// more entries than the new bound, it rolls over immediately (a new
+    /// epoch keeping at most half the new bound), so
+    /// `memo_entries() <= bound` holds from the moment this returns.
     pub fn set_memo_bound(&self, bound: usize) {
         {
             let mut memo = self.lock_memo();
             memo.bound = bound.max(1);
-            if memo.entries > memo.bound {
+            if memo.verdicts.len() > memo.bound {
                 memo.rollover();
             }
         }
         for atom in &self.atoms {
             atom.channel.set_memo_bound(bound);
-        }
-    }
-
-    /// Sets the eviction policy applied at epoch rollover, for this
-    /// automaton *and every nested channel automaton*.  The default is
-    /// [`MemoEviction::Generational`]; [`MemoEviction::Wholesale`] is the
-    /// original clear-everything scheme, kept selectable as the ablation
-    /// baseline.
-    pub fn set_memo_eviction(&self, eviction: MemoEviction) {
-        self.lock_memo().eviction = eviction;
-        for atom in &self.atoms {
-            atom.channel.set_memo_eviction(eviction);
         }
     }
 
@@ -602,30 +529,29 @@ impl CompiledPattern {
         let mut cursor = provenance.clone();
         let mut trail: Vec<(ProvId, StateSet)> = Vec::new();
         let verdict = loop {
-            let id = cursor.id();
-            if let Some(cached) = self.lock_memo().lookup(id, &states) {
+            let key = (cursor.id(), states);
+            if let Some(cached) = self.lock_memo().lookup(&key) {
                 stats.memo_hits += 1;
                 break cached;
             }
-            trail.push((id, states.clone()));
+            trail.push(key);
+            let current = &trail[trail.len() - 1].1;
             match cursor.head() {
-                None => break get_bit(&states, self.accept),
+                None => break get_bit(current, self.accept),
                 Some(event) => {
                     stats.nodes_visited += 1;
-                    let next = self.step(&states, event, stats);
-                    if is_zero(&next) {
+                    states = self.step(current, event, stats);
+                    if is_zero(&states) {
                         break false;
                     }
-                    let tail = cursor.tail().expect("non-empty provenance").clone();
-                    states = next;
-                    cursor = tail;
+                    cursor = cursor.tail().expect("non-empty provenance").clone();
                 }
             }
         };
         if !trail.is_empty() {
             let mut memo = self.lock_memo();
-            for (id, states) in trail {
-                memo.insert(id, states, verdict);
+            for key in trail {
+                memo.insert(key, verdict);
             }
         }
         verdict
@@ -646,10 +572,11 @@ impl CompiledPattern {
         let mut trail: Vec<(ProvId, StateSet)> = Vec::new();
         let outcome = loop {
             let id = cursor.id();
-            trail.push((id, states.clone()));
+            trail.push((id, states));
+            let current = &trail[trail.len() - 1].1;
             match cursor.head() {
                 None => {
-                    break if get_bit(&states, self.accept) {
+                    break if get_bit(current, self.accept) {
                         WitnessTrail::Accepted { steps: consumed }
                     } else {
                         WitnessTrail::Exhausted { consumed }
@@ -661,40 +588,24 @@ impl CompiledPattern {
                         node: id,
                         event: event.clone(),
                     };
-                    let next = self.step(&states, event, stats);
-                    if is_zero(&next) {
+                    states = self.step(current, event, stats);
+                    if is_zero(&states) {
                         break WitnessTrail::Blocked {
                             consumed,
                             blocked: step,
                         };
                     }
                     consumed.push(step);
-                    let tail = cursor.tail().expect("non-empty provenance").clone();
-                    states = next;
-                    cursor = tail;
+                    cursor = cursor.tail().expect("non-empty provenance").clone();
                 }
             }
         };
         let verdict = outcome.verdict();
         let mut memo = self.lock_memo();
-        for (id, states) in trail {
-            memo.insert(id, states, verdict);
+        for key in trail {
+            memo.insert(key, verdict);
         }
         outcome
-    }
-
-    /// Decides whether a slice of borrowed events (most recent first)
-    /// matches, by plain (unmemoized) NFA simulation.
-    pub fn matches_events(&self, events: &[&Event]) -> bool {
-        let mut stats = MatchStats::default();
-        let mut current = self.initial_states();
-        for &event in events {
-            if is_zero(&current) {
-                return false;
-            }
-            current = self.step(&current, event, &mut stats);
-        }
-        get_bit(&current, self.accept)
     }
 
     fn atom_matches(&self, idx: usize, event: &Event, stats: &mut MatchStats) -> bool {
@@ -717,18 +628,6 @@ impl CompiledPattern {
             }
         }
     }
-
-    /// Checks that the NFA agrees with the reference matcher on a single
-    /// input; used by the property-based test suite.
-    pub fn agrees_with_reference(&self, provenance: &Provenance) -> bool {
-        self.matches(provenance) == crate::matching::satisfies(provenance, &self.source)
-    }
-}
-
-/// Convenience: checks one event against an event pattern using the same
-/// logic as the reference matcher (re-exported for the static analysis).
-pub fn compiled_event_satisfies(event: &Event, pattern: &EventPattern) -> bool {
-    event_satisfies(event, pattern)
 }
 
 #[cfg(test)]
@@ -872,16 +771,6 @@ mod tests {
     }
 
     #[test]
-    fn matches_events_agrees_with_matches() {
-        let pattern = Pattern::immediately_sent_by(GroupExpr::single("c"));
-        let compiled = CompiledPattern::compile(&pattern);
-        for prov in sample_provenances() {
-            let events: Vec<&Event> = prov.iter().collect();
-            assert_eq!(compiled.matches_events(&events), compiled.matches(&prov));
-        }
-    }
-
-    #[test]
     fn memo_stays_under_its_bound_on_a_long_workload() {
         let pattern = Pattern::send(GroupExpr::all(), Pattern::Any).star();
         let compiled = CompiledPattern::compile(&pattern);
@@ -968,20 +857,26 @@ mod tests {
         assert!(incremental.memo_hits >= 1);
     }
 
-    /// Drives one compiled pattern through the hot-set-plus-cold-stream
-    /// workload that distinguishes the eviction policies: a small working
-    /// set is re-vetted on every iteration while a stream of one-shot
-    /// histories forces epoch rollovers.  Returns the memo stats.
-    fn hot_and_cold_workload(eviction: MemoEviction) -> MemoStats {
+    #[test]
+    fn generational_eviction_retains_the_hot_working_set() {
+        // A small working set is re-vetted on every iteration while a
+        // stream of one-shot histories forces epoch rollovers.
         let pattern = Pattern::send(GroupExpr::all(), Pattern::Any).star();
         let compiled = CompiledPattern::compile(&pattern);
         compiled.set_memo_bound(16);
-        compiled.set_memo_eviction(eviction);
         let hot: Vec<Provenance> = (0..4)
             .map(|i| seq(vec![out(&format!("hot-{}", i)), out("shared")]))
             .collect();
         for i in 0..300 {
-            assert!(compiled.matches(&hot[i % hot.len()]));
+            let rolled_over = compiled.memo_stats().epochs > 0;
+            let (verdict, stats) = compiled.matches_with_stats(&hot[i % hot.len()]);
+            assert!(verdict);
+            // The regression the rollover rule exists for: once the memo
+            // has rolled over, the hot working set still answers from the
+            // memo instead of re-simulating from cold.
+            if rolled_over {
+                assert_eq!(stats.nodes_visited, 0, "hot query {} re-simulated", i);
+            }
             let cold = seq(vec![out(&format!("cold-{}", i))]);
             assert!(compiled.matches(&cold));
             assert!(
@@ -990,28 +885,11 @@ mod tests {
                 compiled.memo_entries()
             );
         }
-        compiled.memo_stats()
-    }
-
-    #[test]
-    fn generational_eviction_retains_the_hot_working_set() {
-        let generational = hot_and_cold_workload(MemoEviction::Generational);
-        let wholesale = hot_and_cold_workload(MemoEviction::Wholesale);
-        assert!(generational.epochs > 0, "the cold stream forced rollovers");
-        assert!(wholesale.epochs > 0);
+        let stats = compiled.memo_stats();
+        assert!(stats.epochs > 0, "the cold stream forced rollovers");
         assert!(
-            generational.retained > 0,
+            stats.retained > 0,
             "hot entries survived at least one rollover"
-        );
-        assert_eq!(wholesale.retained, 0, "wholesale keeps nothing");
-        // The regression the policy exists for: after a rollover the hot
-        // working set still answers from the memo instead of re-simulating
-        // from cold, so the identical workload misses less.
-        assert!(
-            generational.misses < wholesale.misses,
-            "generational {} misses must beat wholesale {}",
-            generational.misses,
-            wholesale.misses
         );
     }
 
@@ -1072,7 +950,7 @@ mod tests {
         let pattern = Pattern::originated_at(GroupExpr::single("d"));
         let compiled = CompiledPattern::compile(&pattern);
         for p in sample_provenances() {
-            assert!(compiled.agrees_with_reference(&p));
+            assert_eq!(compiled.matches(&p), satisfies(&p, &pattern));
         }
     }
 }

@@ -32,7 +32,7 @@
 //!   and (with [`ServeConfig::idle_timeout`]) idle connections, and
 //!   applies **back-pressure on ingest** through the engine's bounded
 //!   [`piprov_audit::IngestQueue`] (overflow answers a typed `Busy`, each
-//!   accepted batch applies under one write-lock acquisition);
+//!   accepted batch applies under one log-mutex acquisition);
 //! * [`poll`] — the zero-dependency `epoll`/`eventfd` FFI shim the event
 //!   loop stands on;
 //! * [`client`] — the blocking [`AuditClient`] with pipelined queries and

@@ -13,7 +13,7 @@
 //! `IngestBatch` frame is submitted to the engine's [`IngestQueue`]; a
 //! full queue answers a typed [`WireResponse::Busy`] immediately — the
 //! server never buffers a writer's backlog in its own memory — and
-//! accepted batches are applied under one write-lock acquisition each by
+//! accepted batches are applied under one log-mutex acquisition each by
 //! the queue's drain worker.
 //!
 //! Malformed input (bad CRC, hostile length prefix, unknown tag, any

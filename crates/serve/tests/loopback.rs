@@ -292,7 +292,7 @@ fn fire_and_batch_buffers_locally_and_ships_on_flush() {
     assert_eq!(stats.ingested, 10);
     assert_eq!(
         stats.ingest_batches, 3,
-        "4 + 4 + 2: one write-lock acquisition per shipped batch"
+        "4 + 4 + 2: one log-mutex acquisition per shipped batch"
     );
     drop(client);
     server.shutdown().unwrap();
