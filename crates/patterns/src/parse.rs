@@ -16,6 +16,13 @@
 //!
 //! Examples: `c!Any; Any`, `Any; d!Any`, `(c1 + c3)!Any; Any`,
 //! `(~ - mallory)!eps`, `(a!Any | a?Any)*`.
+//!
+//! Nesting is capped at 256 levels, counting both parentheses and the
+//! height of the tree the operators build (`a; b; c` is two `;` levels
+//! deep).  Deeper input is a positioned [`ParsePatternError`], so a
+//! hostile pattern can overflow neither the parser's stack nor that of
+//! any recursive walk over the tree it returns: NFA compilation,
+//! `Display`, matching, `Clone` and `Drop`.
 
 use crate::ast::{GroupExpr, Pattern};
 use piprov_core::name::Principal;
@@ -215,9 +222,57 @@ fn lex(input: &str) -> Result<Vec<Spanned>, ParsePatternError> {
     Ok(out)
 }
 
+/// The deepest a pattern may nest; see the module documentation.
+const MAX_NESTING: usize = 256;
+
+/// A parsed subtree and its height.
+type Node<T> = (T, usize);
+
 struct Parser {
     tokens: Vec<Spanned>,
+    /// Per token, [`group_parens`]: whether a `(` opens a group.
+    group_parens: Vec<bool>,
     cursor: usize,
+    /// Open `primary`/`gterm` calls: the parser's own recursion depth.
+    depth: usize,
+}
+
+/// For each token, whether it is a `(` whose parenthesised span holds
+/// only group-expression tokens (names, `~`, `+`, `-` and parentheses),
+/// so that it opens an event's group rather than a parenthesised pattern.
+/// No pattern is made of group tokens alone, so this settles the
+/// grammar's one ambiguity in a single pass, without backtracking.  The
+/// span of an unclosed `(` runs to the end of the input.
+fn group_parens(tokens: &[Spanned]) -> Vec<bool> {
+    let mut group = vec![false; tokens.len()];
+    // Open parentheses, each with whether its span so far is all group
+    // tokens.
+    let mut open: Vec<(usize, bool)> = Vec::new();
+    for (index, spanned) in tokens.iter().enumerate() {
+        match spanned.token {
+            Token::LParen => open.push((index, true)),
+            Token::RParen => {
+                if let Some((at, only_group)) = open.pop() {
+                    group[at] = only_group;
+                    if let Some(parent) = open.last_mut() {
+                        parent.1 &= only_group;
+                    }
+                }
+            }
+            Token::Ident(_) | Token::Tilde | Token::Plus | Token::Minus => {}
+            _ => {
+                if let Some(innermost) = open.last_mut() {
+                    innermost.1 = false;
+                }
+            }
+        }
+    }
+    let mut only_group = true;
+    while let Some((at, innermost)) = open.pop() {
+        only_group &= innermost;
+        group[at] = only_group;
+    }
+    group
 }
 
 impl Parser {
@@ -260,107 +315,138 @@ impl Parser {
         }
     }
 
-    fn pattern(&mut self) -> Result<Pattern, ParsePatternError> {
+    /// The error for input nesting past [`MAX_NESTING`], at the current
+    /// token.
+    fn too_deep(&self) -> ParsePatternError {
+        self.error(format!(
+            "pattern nests more than {} levels deep",
+            MAX_NESTING
+        ))
+    }
+
+    /// The height of a node over children of height `below`, checked
+    /// against the cap.
+    fn over(&self, below: usize) -> Result<usize, ParsePatternError> {
+        if below >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        Ok(below + 1)
+    }
+
+    /// Runs one recursive step of the parser, one level deeper.
+    fn nested<T>(
+        &mut self,
+        step: impl FnOnce(&mut Self) -> Result<T, ParsePatternError>,
+    ) -> Result<T, ParsePatternError> {
+        if self.depth >= MAX_NESTING {
+            return Err(self.too_deep());
+        }
+        self.depth += 1;
+        let result = step(self);
+        self.depth -= 1;
+        result
+    }
+
+    fn pattern(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
         self.alt()
     }
 
-    fn alt(&mut self) -> Result<Pattern, ParsePatternError> {
-        let mut left = self.seq()?;
+    fn alt(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
+        let (mut left, mut height) = self.seq()?;
         while self.peek() == Some(&Token::Pipe) {
             self.advance();
-            let right = self.seq()?;
+            let (right, right_height) = self.seq()?;
+            height = self.over(height.max(right_height))?;
             left = left.or(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn seq(&mut self) -> Result<Pattern, ParsePatternError> {
-        let mut left = self.postfix()?;
+    fn seq(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
+        let (mut left, mut height) = self.postfix()?;
         while self.peek() == Some(&Token::Semi) {
             self.advance();
-            let right = self.postfix()?;
+            let (right, right_height) = self.postfix()?;
+            height = self.over(height.max(right_height))?;
             left = left.then(right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn postfix(&mut self) -> Result<Pattern, ParsePatternError> {
-        let mut inner = self.primary()?;
+    fn postfix(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
+        let (mut inner, mut height) = self.nested(Self::primary)?;
         while self.peek() == Some(&Token::Star) {
+            height = self.over(height)?;
             self.advance();
             inner = inner.star();
         }
-        Ok(inner)
+        Ok((inner, height))
     }
 
-    fn primary(&mut self) -> Result<Pattern, ParsePatternError> {
+    fn primary(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
         match self.peek() {
             Some(Token::Any) => {
                 self.advance();
-                Ok(Pattern::Any)
+                Ok((Pattern::Any, 1))
             }
             Some(Token::Eps) => {
                 self.advance();
-                Ok(Pattern::Empty)
+                Ok((Pattern::Empty, 1))
             }
             Some(Token::Ident(_)) | Some(Token::Tilde) => self.event(),
+            // A parenthesised group starting an event.
+            Some(Token::LParen) if self.group_parens[self.cursor] => self.event(),
             Some(Token::LParen) => {
-                // Could be a parenthesised pattern or a parenthesised group
-                // starting an event.  Try the event interpretation first and
-                // backtrack on failure.
-                let saved = self.cursor;
-                match self.event() {
-                    Ok(ev) => Ok(ev),
-                    Err(_) => {
-                        self.cursor = saved;
-                        self.advance(); // consume '('
-                        let inner = self.pattern()?;
-                        self.expect(&Token::RParen, "')'")?;
-                        Ok(inner)
-                    }
-                }
+                self.advance();
+                let inner = self.pattern()?;
+                self.expect(&Token::RParen, "')'")?;
+                Ok(inner)
             }
             _ => Err(self.error("expected a pattern".to_string())),
         }
     }
 
-    fn event(&mut self) -> Result<Pattern, ParsePatternError> {
-        let group = self.group()?;
+    fn event(&mut self) -> Result<Node<Pattern>, ParsePatternError> {
+        let (group, group_height) = self.group()?;
         let direction = match self.peek() {
             Some(Token::Bang) => Direction::Output,
             Some(Token::Question) => Direction::Input,
             _ => return Err(self.error("expected '!' or '?' after group".to_string())),
         };
         self.advance();
-        let channel_pattern = self.postfix()?;
-        Ok(match direction {
+        let (channel_pattern, channel_height) = self.postfix()?;
+        let height = self.over(group_height.max(channel_height))?;
+        let event = match direction {
             Direction::Output => Pattern::send(group, channel_pattern),
             Direction::Input => Pattern::receive(group, channel_pattern),
-        })
+        };
+        Ok((event, height))
     }
 
-    fn group(&mut self) -> Result<GroupExpr, ParsePatternError> {
-        let mut left = self.gterm()?;
+    fn group(&mut self) -> Result<Node<GroupExpr>, ParsePatternError> {
+        let (mut left, mut height) = self.nested(Self::gterm)?;
         loop {
-            match self.peek() {
-                Some(Token::Plus) => {
-                    self.advance();
-                    left = left.union(self.gterm()?);
-                }
-                Some(Token::Minus) => {
-                    self.advance();
-                    left = left.difference(self.gterm()?);
-                }
+            let union = match self.peek() {
+                Some(Token::Plus) => true,
+                Some(Token::Minus) => false,
                 _ => break,
-            }
+            };
+            self.advance();
+            let (right, right_height) = self.nested(Self::gterm)?;
+            height = self.over(height.max(right_height))?;
+            left = if union {
+                left.union(right)
+            } else {
+                left.difference(right)
+            };
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn gterm(&mut self) -> Result<GroupExpr, ParsePatternError> {
+    fn gterm(&mut self) -> Result<Node<GroupExpr>, ParsePatternError> {
         match self.advance() {
-            Some(Token::Tilde) => Ok(GroupExpr::All),
-            Some(Token::Ident(name)) => Ok(GroupExpr::Single(Principal::new(name))),
+            Some(Token::Tilde) => Ok((GroupExpr::All, 1)),
+            Some(Token::Ident(name)) => Ok((GroupExpr::Single(Principal::new(name)), 1)),
             Some(Token::LParen) => {
                 let inner = self.group()?;
                 self.expect(&Token::RParen, "')'")?;
@@ -389,8 +475,13 @@ pub fn parse_pattern(input: &str) -> Result<Pattern, ParsePatternError> {
 
 fn parse_pattern_inner(input: &str) -> Result<Pattern, ParsePatternError> {
     let tokens = lex(input)?;
-    let mut parser = Parser { tokens, cursor: 0 };
-    let pattern = parser.pattern()?;
+    let mut parser = Parser {
+        group_parens: group_parens(&tokens),
+        tokens,
+        cursor: 0,
+        depth: 0,
+    };
+    let (pattern, _) = parser.pattern()?;
     if parser.cursor != parser.tokens.len() {
         return Err(parser.error("unexpected trailing input".to_string()));
     }
@@ -553,6 +644,82 @@ mod tests {
         assert_eq!(err.line, 2);
         assert_eq!(err.column, 3);
         assert_eq!(err.snippet, "b!");
+    }
+
+    /// One input per way of nesting, each exactly `levels` deep: as
+    /// parser recursion, as tree height, or both.
+    fn nested_inputs(levels: usize) -> Vec<(&'static str, String)> {
+        let nest = |open: &str, core: &str, close: &str, n: usize| {
+            format!("{}{}{}", open.repeat(n), core, close.repeat(n))
+        };
+        vec![
+            ("parentheses", nest("(", "Any", ")", levels - 1)),
+            ("sequence", vec!["Any"; levels].join("; ")),
+            ("alternation", vec!["Any"; levels].join(" | ")),
+            ("stars", format!("Any{}", "*".repeat(levels - 1))),
+            ("starred parentheses", nest("(", "Any", ")*", levels - 1)),
+            ("events", format!("{}Any", "a!".repeat(levels - 1))),
+            (
+                "group union",
+                format!("({})!Any", vec!["a"; levels - 1].join(" + ")),
+            ),
+            (
+                "group parentheses",
+                format!("{}!Any", nest("(", "a", ")", levels - 2)),
+            ),
+        ]
+    }
+
+    #[test]
+    fn nesting_is_capped_with_a_positioned_error() {
+        for (shape, input) in nested_inputs(MAX_NESTING + 1) {
+            let err = parse_pattern(&input).unwrap_err();
+            assert!(
+                err.message.contains("nests more than 256 levels deep"),
+                "{shape}: {err}"
+            );
+            assert_eq!(err.line, 1, "{shape}");
+            assert!(err.column > 1, "{shape}: {err}");
+        }
+    }
+
+    #[test]
+    fn every_walk_over_a_pattern_at_the_cap_fits_a_worker_stack() {
+        // The server's dispatch workers and event loop run on threads with
+        // the default 2 MiB stack; unoptimised frames are larger than the
+        // release build's, so this is the tighter setting.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for (shape, input) in nested_inputs(MAX_NESTING) {
+                    let pattern =
+                        parse_pattern(&input).unwrap_or_else(|e| panic!("{shape} at the cap: {e}"));
+                    let compiled = crate::nfa::CompiledPattern::compile(&pattern);
+                    let _ = compiled.matches(&piprov_core::provenance::Provenance::empty());
+                    let _ = crate::matching::satisfies(
+                        &piprov_core::provenance::Provenance::empty(),
+                        &pattern,
+                    );
+                    let rendered = pattern.to_string();
+                    let reparsed = parse_pattern(&rendered)
+                        .unwrap_or_else(|e| panic!("{shape} rendered at the cap: {e}"));
+                    assert_eq!(reparsed, pattern.clone(), "{shape}");
+                    drop((pattern, compiled, reparsed));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+    }
+
+    #[test]
+    fn a_depth_bomb_is_rejected_without_recursing_into_it() {
+        // 100,000 levels would overflow any thread's stack if the parser
+        // followed them; it stops at the cap instead.
+        for (shape, input) in nested_inputs(100_000) {
+            let err = parse_pattern(&input).unwrap_err();
+            assert!(err.message.contains("nests more than"), "{shape}: {err}");
+        }
     }
 
     #[test]

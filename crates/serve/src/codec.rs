@@ -189,6 +189,27 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
 /// [`encode_ingest_batch`] writes it without building the enum.
 const REQ_INGEST: u8 = 2;
 
+// Tags [`is_point_read`] reads off an undecoded body.
+const REQ_AUDIT: u8 = 1;
+const REQ_STATS: u8 = 4;
+const REQ_LIST_POLICIES: u8 = 8;
+const AUDIT_VET: u8 = 1;
+const AUDIT_ORIGIN: u8 = 4;
+
+/// Whether an encoded request body is a point read — `VetValue`,
+/// `OriginOf`, `Stats` or `ListPolicies` — judged from its header bytes
+/// `[version][request tag][audit tag]` alone, without decoding it.  The
+/// event loop answers point reads on its own thread; everything else,
+/// including a body too short or too foreign to classify, goes to a
+/// dispatch worker.
+pub(crate) fn is_point_read(body: &[u8]) -> bool {
+    matches!(
+        body,
+        [WIRE_VERSION, REQ_AUDIT, AUDIT_VET | AUDIT_ORIGIN, ..]
+            | [WIRE_VERSION, REQ_STATS | REQ_LIST_POLICIES, ..]
+    )
+}
+
 /// Field tag of the optional trace field after a request's payload.
 const REQUEST_FIELD_TRACE: u8 = 1;
 
@@ -531,23 +552,23 @@ macro_rules! wire_enum {
 
 wire_enum! {
     WireRequest "request" {
-        1 => Audit(audit),
+        REQ_AUDIT => Audit(audit),
         REQ_INGEST => IngestBatch(records),
         3 => Flush,
-        4 => Stats,
+        REQ_STATS => Stats,
         5 => Metrics,
         6 => Traces { min_total_ns },
         7 => LoadPack(pack),
-        8 => ListPolicies,
+        REQ_LIST_POLICIES => ListPolicies,
     }
 }
 
 wire_enum! {
     AuditRequest "audit request" {
-        1 => VetValue { value, pattern },
+        AUDIT_VET => VetValue { value, pattern },
         2 => AuditTrail { value },
         3 => WhoTouched { principal },
-        4 => OriginOf { value },
+        AUDIT_ORIGIN => OriginOf { value },
         5 => Why { value, pattern },
         6 => Counterfactual { value, pattern, remove },
     }
@@ -906,6 +927,89 @@ mod tests {
             let decoded = decode_request(encode_request(&request), &limits).unwrap();
             assert_eq!(decoded, request);
         }
+    }
+
+    /// The event loop classifies a frame by its header bytes alone; this
+    /// pins that check to what the encoder writes for every request kind,
+    /// so a renumbered tag fails here instead of silently inlining a
+    /// `Flush`.
+    #[test]
+    fn the_point_read_check_agrees_with_the_encoder_on_every_request_kind() {
+        let v = Value::Channel(Channel::new("v"));
+        let table = [
+            (
+                WireRequest::Audit(AuditRequest::VetValue {
+                    value: v.clone(),
+                    pattern: "p".into(),
+                }),
+                true,
+            ),
+            (
+                WireRequest::Audit(AuditRequest::OriginOf { value: v.clone() }),
+                true,
+            ),
+            (WireRequest::Stats, true),
+            (WireRequest::ListPolicies, true),
+            (
+                WireRequest::Audit(AuditRequest::AuditTrail { value: v.clone() }),
+                false,
+            ),
+            (
+                WireRequest::Audit(AuditRequest::WhoTouched {
+                    principal: Principal::new("s"),
+                }),
+                false,
+            ),
+            (
+                WireRequest::Audit(AuditRequest::Why {
+                    value: v.clone(),
+                    pattern: "p".into(),
+                }),
+                false,
+            ),
+            (
+                WireRequest::Audit(AuditRequest::Counterfactual {
+                    value: v.clone(),
+                    pattern: "p".into(),
+                    remove: EventFilter::Principal(Principal::new("s")),
+                }),
+                false,
+            ),
+            (WireRequest::IngestBatch(vec![record(1)]), false),
+            (WireRequest::Flush, false),
+            (WireRequest::Metrics, false),
+            (WireRequest::Traces { min_total_ns: 0 }, false),
+            (
+                WireRequest::LoadPack(PackSource::new("pack", Vec::new())),
+                false,
+            ),
+        ];
+        // The table names every request kind there is.
+        let covered: Vec<RequestKind> = table.iter().map(|(r, _)| request_kind(r)).collect();
+        for kind in (0..=u8::MAX).filter_map(RequestKind::from_u8) {
+            assert!(covered.contains(&kind), "{:?} missing from the table", kind);
+        }
+        let trace = RequestTrace {
+            context: TraceContext {
+                trace_id: 7,
+                sampled: true,
+            },
+            client_encode_ns: 1,
+        };
+        for (request, inline) in &table {
+            let body = encode_request(request);
+            assert_eq!(is_point_read(&body), *inline, "{:?}", request);
+            let traced = append_request_trace(&body, &trace);
+            assert_eq!(is_point_read(&traced), *inline, "traced {:?}", request);
+        }
+        // A foreign version or a body cut short of its tags is never
+        // answered inline; the worker's decode names the fault.
+        let vet = encode_request(&table[0].0);
+        let mut foreign = vet.to_vec();
+        foreign[0] = WIRE_VERSION + 1;
+        assert!(!is_point_read(&foreign));
+        assert!(!is_point_read(&vet[..2]));
+        assert!(!is_point_read(&[]));
     }
 
     #[test]

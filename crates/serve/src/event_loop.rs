@@ -4,21 +4,44 @@
 //! [`crate::poll`]), and every connection's state machine:
 //!
 //! ```text
-//! read-accumulate ──► decode ──► handle ──► write-drain
-//!       ▲   (loop)      (worker pool)          │
-//!       └──────────────────────────────────────┘
+//!                           ┌─► point read: decode ► handle ► encode ───┐
+//!                           │   (loop thread, run to completion)        │
+//! read-accumulate ► carve ──┤                                           ├─► write-drain
+//!       ▲    (loop)         └─► anything else: decode ► handle ► encode ┘        │
+//!       │                       (dispatch worker pool)                           │
+//!       └────────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! The loop thread only moves bytes: it accepts, reads whatever readiness
-//! delivers into a per-connection buffer, carves complete frames out of
-//! it with [`crate::wire::try_parse_frame`], and drains each connection's
-//! outbound buffer (partial writes re-arm `EPOLLOUT`).  Complete frames
-//! are handed to a small **dispatch worker pool** that runs each through
-//! [`crate::server::serve_frame`] and appends the encoded responses to the
-//! connection's outbound buffer.  At most one dispatch job per connection
-//! is in flight and a job answers its frames in order, so pipelining
-//! keeps the wire contract: responses strictly in request order per
-//! connection.
+//! The loop thread accepts, reads whatever readiness delivers into a
+//! per-connection buffer, carves complete frames out of it with
+//! [`crate::wire::try_parse_frame`], and drains each connection's
+//! outbound buffer (partial writes re-arm `EPOLLOUT`).  It also answers
+//! **point reads** itself: when a connection has no dispatch job in
+//! flight, the loop runs the leading `VetValue`, `OriginOf`, `Stats` and
+//! `ListPolicies` frames of its queue through
+//! [`crate::server::serve_frame`] and encodes the answers straight into
+//! the connection's outbound buffer.  A memo-warm vet costs a few
+//! microseconds, less than the two thread handoffs a worker round trip
+//! adds.  The loop tells a point read by its header bytes alone
+//! ([`crate::codec::is_point_read`]), and two bounds keep one connection
+//! from holding the loop: it stops at the connection's first frame that
+//! is not a point read, and once [`INLINE_BUDGET`] of this turn has gone
+//! to that connection.
+//!
+//! Every other frame, and every frame behind it, goes to a small
+//! **dispatch worker pool** as one job per connection: audit trails and
+//! who-touched answers (which grow with history), why-slices,
+//! counterfactuals, ingest, flush barriers, pack loads, metrics, traces
+//! and HTTP heads.  At most one dispatch job per connection is in flight,
+//! a job answers its frames in order, and a frame is answered inline only
+//! when no earlier frame of its connection is pending or in flight.  So
+//! pipelining keeps the wire contract: responses strictly in request
+//! order per connection.
+//!
+//! Both paths share one batch pipeline, which catches a panicking
+//! request: it is answered with a typed `ServerError` in its slot, the
+//! frames behind it are still answered, and neither the loop thread nor a
+//! worker dies.
 //!
 //! An idle connection therefore costs exactly one registered fd and its
 //! (empty) buffers — no thread.  The loop thread sleeps in `epoll_wait`
@@ -34,11 +57,11 @@
 //!   past that bound is closed with a best-effort `ServerError{"idle
 //!   timeout"}` frame.
 
-use crate::codec::{encode_response, WireResponse};
+use crate::codec::{encode_response, is_point_read, WireResponse};
 use crate::poll::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{
-    contains_blank_line, http_response_for, serve_frame, PendingTrace, Services,
-    IDLE_TIMEOUT_MESSAGE, MAX_HTTP_HEAD,
+    contains_blank_line, http_response, http_response_for, serve_frame, PendingTrace, Services,
+    IDLE_TIMEOUT_MESSAGE, MAX_HTTP_HEAD, REQUEST_PANIC_MESSAGE,
 };
 use crate::wire::{try_parse_frame, write_frame, WireError, HTTP_GET_PREFIX};
 use bytes::Bytes;
@@ -47,6 +70,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -67,6 +91,12 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(2);
 /// How often the loop checks the stall and idle bounds while one needs
 /// watching.
 const SWEEP_TICK: Duration = Duration::from_millis(200);
+
+/// How long one turn of the loop answers one connection's point reads
+/// before it hands the rest of that connection's frames to a worker.
+/// This bounds how long a pipelined burst, or one memo-cold deep vet
+/// past it, can keep the loop from every other connection.
+const INLINE_BUDGET: Duration = Duration::from_micros(100);
 
 /// The running threads of the event loop.  Owned by
 /// [`crate::AuditServer`]; [`EventLoopHandle::stop`] is idempotent.
@@ -170,6 +200,14 @@ impl Dispatch {
     }
 }
 
+/// A complete frame and when the loop carved it off the read buffer —
+/// the start of its request's trace.
+#[derive(Debug)]
+struct Frame {
+    body: Bytes,
+    carved: Instant,
+}
+
 /// One unit of CPU work for a dispatch worker.  The worker appends its
 /// encoded output to `out` and reports `token` done — it never touches
 /// the socket.
@@ -178,7 +216,7 @@ enum Job {
     /// Complete frames from one connection, answered strictly in order.
     Frames {
         token: u64,
-        frames: Vec<Bytes>,
+        frames: Vec<Frame>,
         out: Arc<Mutex<Outbound>>,
     },
     /// A sniffed plaintext HTTP request head (the `/metrics` scrape).
@@ -228,8 +266,8 @@ struct Conn {
     stream: TcpStream,
     /// read-accumulate: bytes readiness delivered, not yet a full frame.
     read_buf: Vec<u8>,
-    /// Complete frames waiting for the connection's next dispatch slot.
-    pending: VecDeque<Bytes>,
+    /// Complete frames not yet answered or handed to a worker.
+    pending: VecDeque<Frame>,
     /// A dispatch job for this connection is at the workers; at most one,
     /// which is what keeps pipelined responses in request order.
     in_flight: bool,
@@ -379,8 +417,9 @@ impl Loop {
         }
     }
 
-    /// The connection state machine: parse → dispatch → error/EOF → flush
-    /// → close, in a fixed order so every path converges.
+    /// The connection state machine: parse → serve point reads inline →
+    /// dispatch → error/EOF → flush → close, in a fixed order so every
+    /// path converges.
     fn advance(&mut self, token: u64) {
         let Some((conn, out)) = self.conns.get_mut(&token) else {
             return;
@@ -388,8 +427,9 @@ impl Loop {
         let closing = out.lock().expect("outbound lock").closing;
         if !closing {
             parse_available(conn, self.services.config.limits.max_frame_len);
-            // Dispatch the next batch of complete frames (or a complete
-            // HTTP head) if the connection's single job slot is free.
+            // With the connection's single job slot free, answer its
+            // leading point reads here, then dispatch the rest of its
+            // complete frames (or a complete HTTP head).
             if !conn.in_flight {
                 if let Some(head) = take_complete_http_head(conn) {
                     conn.in_flight = true;
@@ -398,6 +438,9 @@ impl Loop {
                         head,
                         out: Arc::clone(out),
                     });
+                } else if serve_inline(conn, out, &self.services) {
+                    // A frame failed to decode: its error frame is queued
+                    // and the connection closes once it drains.
                 } else if !conn.pending.is_empty() {
                     let frames = conn.pending.drain(..).collect();
                     conn.in_flight = true;
@@ -621,7 +664,10 @@ fn parse_available(conn: &mut Conn, max_frame_len: u32) {
                     Ok(None) => break,
                     Ok(Some((consumed, body))) => {
                         conn.read_buf.drain(..consumed);
-                        conn.pending.push_back(body);
+                        conn.pending.push_back(Frame {
+                            body,
+                            carved: Instant::now(),
+                        });
                     }
                     Err(e) => {
                         // The rest of the buffer is garbage relative to
@@ -727,9 +773,84 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
     }
 }
 
+/// Run to completion: answers the leading point reads of `conn.pending`
+/// on the loop thread, stopping at the first frame that is not one or
+/// once [`INLINE_BUDGET`] is spent.  The caller has checked that no job
+/// of this connection is in flight, so these are its earliest unanswered
+/// frames.  Returns whether a frame failed to decode, closing the
+/// connection.
+fn serve_inline(conn: &mut Conn, out: &Mutex<Outbound>, services: &Services) -> bool {
+    // The budget's clock starts at the first point read.
+    let mut started = None;
+    let point_reads = std::iter::from_fn(|| {
+        let inline = conn
+            .pending
+            .front()
+            .is_some_and(|frame| is_point_read(&frame.body))
+            && started.get_or_insert_with(Instant::now).elapsed() < INLINE_BUDGET;
+        if inline {
+            conn.pending.pop_front()
+        } else {
+            None
+        }
+    });
+    serve_frames(point_reads, services, out)
+}
+
+/// The one batch pipeline, shared by the loop's inline path and the
+/// dispatch workers: answers `frames` in order through [`serve_frame`],
+/// then appends the responses and their pending traces to `out`.
+///
+/// A request whose handler panics is answered with a typed `ServerError`
+/// in its slot, and the frames after it are still served.  A frame that
+/// does not decode is answered with a typed error frame and closes the
+/// connection; frames after it are not answered.  Returns whether that
+/// happened.
+fn serve_frames(
+    frames: impl Iterator<Item = Frame>,
+    services: &Services,
+    out: &Mutex<Outbound>,
+) -> bool {
+    let mut encoded = Vec::new();
+    // Each trace's `end_abs` is its response's end offset within `encoded`
+    // until the batch is anchored to the stream.
+    let mut traces = Vec::new();
+    let mut closing = false;
+    for frame in frames {
+        let mark = encoded.len();
+        let served = catch_unwind(AssertUnwindSafe(|| {
+            serve_frame(frame.body, frame.carved, services, &mut encoded)
+        }));
+        match served {
+            Ok(Ok(trace)) => traces.push(trace),
+            Ok(Err(e)) => {
+                encoded.extend_from_slice(&error_frame(&e.to_string()));
+                closing = true;
+                break;
+            }
+            Err(_) => {
+                encoded.truncate(mark);
+                encoded.extend_from_slice(&error_frame(REQUEST_PANIC_MESSAGE));
+            }
+        }
+    }
+    if !encoded.is_empty() {
+        let mut out = out.lock().expect("outbound lock");
+        let base = out.total_enqueued;
+        let now = Instant::now();
+        out.enqueue(&encoded);
+        for mut trace in traces {
+            trace.end_abs += base;
+            trace.enqueued = now;
+            out.pending_traces.push(trace);
+        }
+        out.closing |= closing;
+    }
+    closing
+}
+
 /// A dispatch worker: all CPU work for one job at a time, never touching
-/// a socket.  Wire-level histograms are recorded here (in
-/// [`serve_frame`]) — the loop thread stays out of the measurement.
+/// a socket.
 fn dispatch_loop(dispatch: &Dispatch, services: &Services) {
     loop {
         let job = {
@@ -748,44 +869,207 @@ fn dispatch_loop(dispatch: &Dispatch, services: &Services) {
                     .0;
             }
         };
-        let (token, out, encoded, traces, closing) = match job {
+        let token = match job {
             Job::Frames { token, frames, out } => {
-                let mut encoded = Vec::new();
-                // Each trace's `end_abs` is its response's end offset within
-                // `encoded` until the batch is anchored to the stream below.
-                let mut traces = Vec::new();
-                let mut closing = false;
-                for frame in frames {
-                    match serve_frame(frame, services, &mut encoded) {
-                        Ok(trace) => traces.push(trace),
-                        Err(e) => {
-                            // A typed error frame, then close; frames after
-                            // the bad one are not answered.
-                            encoded.extend_from_slice(&error_frame(&e.to_string()));
-                            closing = true;
-                            break;
-                        }
-                    }
-                }
-                (token, out, encoded, traces, closing)
+                serve_frames(frames.into_iter(), services, &out);
+                token
             }
             Job::Http { token, head, out } => {
-                let response = http_response_for(&head, &services.engine, &services.collector);
-                (token, out, response, Vec::new(), true)
+                let response = catch_unwind(AssertUnwindSafe(|| {
+                    http_response_for(&head, &services.engine, &services.collector)
+                }))
+                .unwrap_or_else(|_| {
+                    http_response(
+                        "500 Internal Server Error",
+                        "text/plain; charset=utf-8",
+                        "internal error\n",
+                    )
+                });
+                let mut out = out.lock().expect("outbound lock");
+                out.enqueue(&response);
+                out.closing = true;
+                token
             }
         };
-        {
-            let mut out = out.lock().expect("outbound lock");
-            let base = out.total_enqueued;
-            let now = Instant::now();
-            out.enqueue(&encoded);
-            for mut trace in traces {
-                trace.end_abs += base;
-                trace.enqueued = now;
-                out.pending_traces.push(trace);
-            }
-            out.closing |= closing;
-        }
         dispatch.report_done(token);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::codec::encode_request;
+    use crate::server::{PANIC_PATTERN, REQUEST_PANIC_MESSAGE};
+    use crate::wire::write_frame;
+    use crate::{AuditClient, AuditServer, ServeConfig, WireRequest, WireResponse};
+    use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
+    use piprov_core::name::{Channel, Principal};
+    use piprov_core::provenance::{Event, Provenance};
+    use piprov_core::value::Value;
+    use piprov_patterns::Pattern;
+    use piprov_store::{Operation, ProvenanceRecord};
+    use std::io::{Read, Write};
+    use std::net::{SocketAddr, TcpStream};
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    fn item() -> Value {
+        Value::Channel(Channel::new("item0"))
+    }
+
+    fn vet(pattern: &str) -> AuditRequest {
+        AuditRequest::VetValue {
+            value: item(),
+            pattern: pattern.into(),
+        }
+    }
+
+    fn why(pattern: &str) -> AuditRequest {
+        AuditRequest::Why {
+            value: item(),
+            pattern: pattern.into(),
+        }
+    }
+
+    /// A client whose reads give up after a few seconds, so a request
+    /// lost with a dead thread fails the test instead of hanging it.
+    fn connect(addr: SocketAddr) -> AuditClient {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        AuditClient::from_stream(stream).unwrap()
+    }
+
+    /// Writes every request before reading any answer.
+    fn pipelined(client: &mut AuditClient, requests: &[AuditRequest]) -> Vec<WireResponse> {
+        let mut frames = Vec::new();
+        for request in requests {
+            let body = encode_request(&WireRequest::Audit(request.clone()));
+            write_frame(&mut frames, &body).unwrap();
+        }
+        client.send_raw(&frames).unwrap();
+        requests
+            .iter()
+            .map(|_| client.receive_response().unwrap())
+            .collect()
+    }
+
+    fn http_get(addr: SocketAddr, path: &str) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        write!(stream, "GET {} HTTP/1.1\r\n\r\n", path).unwrap();
+        let mut response = String::new();
+        stream.read_to_string(&mut response).unwrap();
+        response
+    }
+
+    fn outcome(response: &WireResponse) -> &AuditOutcome {
+        match response {
+            WireResponse::Audit(answer) => &answer.outcome,
+            other => panic!("expected an audit answer, got {:?}", other),
+        }
+    }
+
+    #[test]
+    fn panicking_requests_cost_no_capacity_inline_or_dispatched() {
+        let dir = std::env::temp_dir().join(format!("piprov-serve-panic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        engine.register_pattern("any", Pattern::Any);
+        let workers = 2;
+        let server = AuditServer::bind(
+            Arc::clone(&engine),
+            "127.0.0.1:0",
+            ServeConfig {
+                workers,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let mut client = connect(addr);
+        let k = Provenance::single(Event::output(Principal::new("s0"), Provenance::empty()));
+        client
+            .ingest_blocking(vec![ProvenanceRecord::new(
+                0,
+                "s0",
+                Operation::Send,
+                "m",
+                item(),
+                k,
+            )])
+            .unwrap();
+        client.flush().unwrap();
+
+        // The first frame of a burst on an idle connection is always
+        // answered on the loop thread (the inline budget only cuts in after
+        // it); a why-slice in front sends the whole burst to a worker.  Each
+        // burst panics once, `workers + 1` times per path: more panics than
+        // there are workers to lose.
+        let bursts = [
+            ("inline", vec![vet(PANIC_PATTERN), vet("any"), why("any")]),
+            (
+                "dispatched",
+                vec![why("any"), why(PANIC_PATTERN), vet("any")],
+            ),
+        ];
+        for (path, burst) in &bursts {
+            for round in 0..=workers {
+                let answers = pipelined(&mut client, burst);
+                assert_eq!(answers.len(), burst.len());
+                for (slot, (request, answer)) in burst.iter().zip(&answers).enumerate() {
+                    let panics = matches!(
+                        request,
+                        AuditRequest::VetValue { pattern, .. } | AuditRequest::Why { pattern, .. }
+                            if pattern == PANIC_PATTERN
+                    );
+                    match answer {
+                        WireResponse::ServerError { message } if panics => {
+                            assert_eq!(message, REQUEST_PANIC_MESSAGE)
+                        }
+                        // The requests around the panic keep their slots.
+                        WireResponse::Audit(answer) if !panics => assert!(
+                            matches!(
+                                (request, &answer.outcome),
+                                (
+                                    AuditRequest::VetValue { .. },
+                                    AuditOutcome::Vetted { verdict: true, .. }
+                                ) | (AuditRequest::Why { .. }, AuditOutcome::Why(_))
+                            ),
+                            "{path} round {round} slot {slot}: {:?}",
+                            answer.outcome
+                        ),
+                        other => panic!("{path} round {round} slot {slot}: {:?}", other),
+                    }
+                }
+            }
+        }
+
+        // A panicking HTTP handler is answered with a 500, on a worker too.
+        for _ in 0..=workers {
+            let response = http_get(addr, &format!("/why?value=item0&policy={}", PANIC_PATTERN));
+            assert!(response.starts_with("HTTP/1.1 500 "), "{}", response);
+        }
+
+        // Full capacity afterwards: a fresh connection is answered on both
+        // paths, and every worker still takes jobs.
+        let mut fresh = connect(addr);
+        let answers = pipelined(&mut fresh, &[vet("any"), why("any"), vet("any")]);
+        assert!(matches!(
+            outcome(&answers[0]),
+            AuditOutcome::Vetted { verdict: true, .. }
+        ));
+        assert!(matches!(outcome(&answers[1]), AuditOutcome::Why(_)));
+        let mut side = connect(addr);
+        for _ in 0..workers * 2 {
+            let slice = side.why(item(), "any").unwrap();
+            assert!(matches!(slice.outcome, AuditOutcome::Why(_)));
+        }
+        assert!(http_get(addr, "/healthz").starts_with("HTTP/1.1 200 OK"));
+        drop((client, fresh, side));
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -2,10 +2,12 @@
 //!
 //! [`AuditServer::bind`] starts the serving core (the `event_loop`
 //! module): one thread owns the listener and every connection on Linux
-//! `epoll`, and a small dispatch worker pool runs each complete frame
-//! through one per-frame pipeline — decode, handle against the engine's
-//! lock-free MVCC read path, encode.  Thousands of idle
-//! connections cost only their registered fds.
+//! `epoll`.  That thread answers point reads (`VetValue`, `OriginOf`,
+//! `Stats` and `ListPolicies`) itself, and a small dispatch worker pool
+//! answers everything else.  Both run each frame through one per-frame
+//! pipeline — decode, handle against the engine's lock-free MVCC read
+//! path, encode.  Thousands of idle connections cost only their
+//! registered fds.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
 //! strictly in arrival order, so a client may write many requests before
@@ -20,13 +22,17 @@
 //! version byte but [`crate::WIRE_VERSION`]) is a typed error, never a
 //! panic: the server sends a best-effort [`WireResponse::ServerError`]
 //! frame naming the cause and closes that connection; everyone else keeps
-//! being served.  A plaintext `GET` where a frame header would be is
-//! answered with one HTTP/1.1 response (the Prometheus exposition on
-//! `/metrics`; also `/trace`, `/policies`, `/why` and `/healthz`).  Two bounds hold a connection's
-//! resources: a frame or HTTP head that stops arriving mid-way is answered
-//! and closed after two seconds without new bytes, and
-//! [`ServeConfig::idle_timeout`] expires connections with no request in
-//! progress.
+//! being served.  A request whose handler panics anyway is answered with
+//! a `ServerError` in its slot; the connection, the thread that served it
+//! and every later request carry on.
+//!
+//! A plaintext `GET` where a frame header would be is answered with one
+//! HTTP/1.1 response (the Prometheus exposition on `/metrics`; also
+//! `/trace`, `/policies`, `/why` and `/healthz`).  Two bounds hold a
+//! connection's resources: a frame or HTTP head that stops arriving
+//! mid-way is answered and closed after two seconds without new bytes,
+//! and [`ServeConfig::idle_timeout`] expires connections with no request
+//! in progress.
 
 use crate::codec::{
     decode_request_traced, encode_response, request_kind, WireRequest, WireResponse,
@@ -49,9 +55,16 @@ use std::time::{Duration, Instant};
 /// Configuration of an [`AuditServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// The size of the dispatch worker pool: the number of frames handled
-    /// concurrently.  Connections themselves are not bounded by threads;
-    /// an idle one costs only its fd.
+    /// The size of the dispatch worker pool.  Workers answer every frame
+    /// the event loop does not answer itself: audit trails, who-touched,
+    /// why and counterfactual queries, ingest, `Flush` barriers, pack
+    /// loads, metrics, traces and HTTP scrapes, plus any point read
+    /// queued behind one of those or past the loop's per-turn budget.
+    /// The loop thread answers the other point reads (`VetValue`,
+    /// `OriginOf`, `Stats` and `ListPolicies`), so vets keep being
+    /// answered while every worker is parked in a `Flush`.  Connections
+    /// themselves are not bounded by threads; an idle one costs only its
+    /// fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -92,6 +105,22 @@ impl Default for ServeConfig {
 
 /// The message an idle-expired connection is closed with.
 pub(crate) const IDLE_TIMEOUT_MESSAGE: &str = "idle timeout";
+
+/// The `ServerError` a request whose handler panicked is answered with.
+pub(crate) const REQUEST_PANIC_MESSAGE: &str = "internal error: the request's handler panicked";
+
+/// A vet or why naming this pattern, framed or as `GET /why`, panics in
+/// its handler: the unit tests' way to prove a panicking request costs no
+/// capacity.
+#[cfg(test)]
+pub(crate) const PANIC_PATTERN: &str = "test::panic";
+
+#[cfg(test)]
+fn panic_if_asked(pattern: &str) {
+    if pattern == PANIC_PATTERN {
+        panic!("injected panic in a request handler");
+    }
+}
 
 /// What serving a frame needs, shared by the event loop and its dispatch
 /// workers.
@@ -208,7 +237,9 @@ pub(crate) struct PendingTrace {
     /// Stream position (bytes ever enqueued on the connection) at which
     /// this response is fully on the wire.
     pub(crate) end_abs: u64,
-    /// When decoding started — the trace's total starts here.
+    /// When the event loop carved the frame off the connection's read
+    /// buffer — the trace's total starts here, so it covers any wait for
+    /// a dispatch worker.
     started: Instant,
     /// When the encoded response entered the outbound buffer.
     pub(crate) enqueued: Instant,
@@ -243,6 +274,7 @@ impl PendingTrace {
 
 /// The per-frame pipeline: decode → admit the trace → [`handle_request`]
 /// → record the wire histograms → encode the framed response onto `out`.
+/// `carved` is when the event loop took the frame off the read buffer.
 /// The returned trace is finished once the response reaches the socket.
 ///
 /// # Errors
@@ -251,15 +283,16 @@ impl PendingTrace {
 /// frame and closes the connection.
 pub(crate) fn serve_frame(
     frame: Bytes,
+    carved: Instant,
     services: &Services,
     out: &mut Vec<u8>,
 ) -> Result<PendingTrace, WireError> {
     let registry = services.engine.metrics_registry();
     // Decode time covers bytes → typed request; reading the frame off the
     // socket is readiness-bound, not decode work.
-    let started = Instant::now();
+    let decode_started = Instant::now();
     let decoded = decode_request_traced(frame, &services.config.limits);
-    let decode_ns = elapsed_ns(started);
+    let decode_ns = elapsed_ns(decode_started);
     registry.record_frame_decode(decode_ns);
     let (request, wire_trace) = decoded?;
     let ctx = services.collector.admit(wire_trace.map(|t| t.context));
@@ -271,8 +304,8 @@ pub(crate) fn serve_frame(
     write_frame(out, &encode_response(&response)).expect("vec write");
     Ok(PendingTrace {
         end_abs: out.len() as u64,
-        started,
-        enqueued: started,
+        started: carved,
+        enqueued: carved,
         ctx,
         kind,
         client_encode_ns: wire_trace.map_or(0, |t| t.client_encode_ns),
@@ -350,6 +383,11 @@ pub(crate) fn http_response_for(
             "not found\n".to_string(),
         ),
     };
+    http_response(status, content_type, &body)
+}
+
+/// One complete `Connection: close` HTTP/1.1 response.
+pub(crate) fn http_response(status: &str, content_type: &str, body: &str) -> Vec<u8> {
     let mut response = format!(
         "HTTP/1.1 {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         status,
@@ -422,6 +460,8 @@ fn why_response(query: Option<&str>, engine: &AuditEngine) -> (&'static str, Str
     let Some(policy) = query_param(query, "policy") else {
         return ("400 Bad Request", "missing policy= parameter\n".to_string());
     };
+    #[cfg(test)]
+    panic_if_asked(policy);
     let response = engine.handle(&AuditRequest::Why {
         value: Value::Channel(Channel::new(value)),
         pattern: policy.to_string(),
@@ -454,8 +494,9 @@ fn http_request_path(head: &[u8]) -> Option<&str> {
     parts.next()
 }
 
-/// Maps one decoded request onto the engine/queue.  Never panics; store
-/// failures become [`WireResponse::ServerError`].
+/// Maps one decoded request onto the engine/queue.  Store failures become
+/// [`WireResponse::ServerError`]; a panic, should one escape the engine,
+/// is caught around [`serve_frame`] and answered the same way.
 ///
 /// Returns the response plus the `(index_hits, memo_hits)` the engine
 /// reported, so the caller can stamp them onto the request's `handle`
@@ -465,6 +506,13 @@ fn handle_request(
     services: &Services,
     ctx: Option<TraceContext>,
 ) -> (WireResponse, u64, u64) {
+    #[cfg(test)]
+    if let WireRequest::Audit(
+        AuditRequest::VetValue { pattern, .. } | AuditRequest::Why { pattern, .. },
+    ) = &request
+    {
+        panic_if_asked(pattern);
+    }
     let Services {
         engine,
         queue,

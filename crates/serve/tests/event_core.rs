@@ -1,7 +1,9 @@
 //! The event-loop core's connection handling: idle and stalled-input
 //! bounds, the plaintext HTTP scrape endpoints on the framed port,
-//! hundreds of held connections, and pipelined bursts through the
-//! dispatch pool.
+//! hundreds of held connections, pipelined bursts, and the split between
+//! point reads answered on the loop thread and everything else answered
+//! by the dispatch pool: request order, read-your-writes across that
+//! split, and loop capacity while every worker is parked.
 
 use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
 use piprov_core::name::{Channel, Principal};
@@ -10,10 +12,12 @@ use piprov_core::value::Value;
 use piprov_patterns::{GroupExpr, Pattern};
 use piprov_serve::codec::encode_request;
 use piprov_serve::wire::write_frame;
-use piprov_serve::{AuditClient, AuditServer, ClientError, ServeConfig, WireRequest, WireResponse};
+use piprov_serve::{
+    AuditClient, AuditServer, ClientError, IngestOutcome, ServeConfig, WireRequest, WireResponse,
+};
 use piprov_store::{Operation, ProvenanceRecord};
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -580,6 +584,242 @@ fn a_pipelined_burst_through_the_dispatch_pool_answers_in_request_order() {
                 response.outcome
             );
         }
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A client whose reads give up after `timeout`, so an answer that never
+/// comes fails the test instead of hanging it.
+fn connect_with_timeout(addr: SocketAddr, timeout: Duration) -> AuditClient {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(timeout)).unwrap();
+    AuditClient::from_stream(stream).unwrap()
+}
+
+/// Writes `requests` as frames in one write, reading nothing.
+fn send_frames(client: &mut AuditClient, requests: &[WireRequest]) {
+    let mut frames = Vec::new();
+    for request in requests {
+        write_frame(&mut frames, &encode_request(request)).unwrap();
+    }
+    client.send_raw(&frames).unwrap();
+}
+
+fn audit_outcome(response: WireResponse) -> AuditOutcome {
+    match response {
+        WireResponse::Audit(answer) => answer.outcome,
+        other => panic!("expected an audit answer, got {:?}", other),
+    }
+}
+
+#[test]
+fn inline_reads_keep_request_order_and_read_your_writes_across_the_worker_boundary() {
+    let dir = temp_dir("inline-order");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = connect_with_timeout(server.local_addr(), Duration::from_secs(20));
+
+    // 64 rounds of write, flush, then every read kind on the new value,
+    // all written before any answer is read.  Point reads (vet, origin,
+    // stats) are answered on the loop thread when nothing of the
+    // connection is pending or in flight; the rest go to a worker.  Each
+    // round's frames are split into two writes at a different point, with
+    // a pause between, so a round's reads reach the server both together
+    // with its ingest (one worker job) and after it (answered inline once
+    // the flush's job is done).
+    let rounds = 64u64;
+    let round = |k: u64| {
+        let item = value(&format!("item{}", k));
+        vec![
+            WireRequest::IngestBatch(vec![record(k, &format!("s{}", k))]),
+            WireRequest::Flush,
+            WireRequest::Audit(AuditRequest::VetValue {
+                value: item.clone(),
+                pattern: "any".into(),
+            }),
+            WireRequest::Audit(AuditRequest::OriginOf {
+                value: item.clone(),
+            }),
+            WireRequest::Audit(AuditRequest::Why {
+                value: item.clone(),
+                pattern: "any".into(),
+            }),
+            WireRequest::Stats,
+            WireRequest::Audit(AuditRequest::AuditTrail { value: item }),
+        ]
+    };
+    for k in 0..rounds {
+        let requests = round(k);
+        let split = k as usize % requests.len();
+        send_frames(&mut client, &requests[..split]);
+        std::thread::sleep(Duration::from_millis(1));
+        send_frames(&mut client, &requests[split..]);
+    }
+
+    for k in 0..rounds {
+        let who = Principal::new(format!("s{}", k));
+        match client.receive_response().unwrap() {
+            WireResponse::IngestAck { accepted: 1, .. } => {}
+            other => panic!("round {}: ingest slot got {:?}", k, other),
+        }
+        let watermark = match client.receive_response().unwrap() {
+            WireResponse::Flushed {
+                ingested,
+                watermark,
+            } => {
+                assert_eq!(ingested, k + 1, "round {}", k);
+                watermark
+            }
+            other => panic!("round {}: flush slot got {:?}", k, other),
+        };
+        // Read-your-writes: the vet sees the record its flush published.
+        match client.receive_response().unwrap() {
+            WireResponse::Audit(answer) => {
+                assert!(
+                    matches!(answer.outcome, AuditOutcome::Vetted { verdict: true, .. }),
+                    "round {}: vet slot got {:?}",
+                    k,
+                    answer.outcome
+                );
+                assert!(answer.watermark >= watermark, "round {}", k);
+            }
+            other => panic!("round {}: vet slot got {:?}", k, other),
+        }
+        assert_eq!(
+            audit_outcome(client.receive_response().unwrap()),
+            AuditOutcome::Origin {
+                principal: Some(who.clone())
+            },
+            "round {}",
+            k
+        );
+        match audit_outcome(client.receive_response().unwrap()) {
+            AuditOutcome::Why(slice) => assert!(slice.verdict, "round {}", k),
+            other => panic!("round {}: why slot got {:?}", k, other),
+        }
+        match client.receive_response().unwrap() {
+            WireResponse::Stats(stats) => assert_eq!(stats.ingested, k + 1, "round {}", k),
+            other => panic!("round {}: stats slot got {:?}", k, other),
+        }
+        match audit_outcome(client.receive_response().unwrap()) {
+            AuditOutcome::Trail(trail) => {
+                assert_eq!(trail.records.len(), 1, "round {}", k);
+                assert_eq!(trail.records[0].principal, who, "round {}", k);
+            }
+            other => panic!("round {}: trail slot got {:?}", k, other),
+        }
+    }
+    drop(client);
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn inline_vets_answer_while_the_only_worker_is_parked_in_a_flush() {
+    let dir = temp_dir("inline-capacity");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server = AuditServer::bind(
+        Arc::clone(&engine),
+        "127.0.0.1:0",
+        ServeConfig {
+            workers: 1,
+            flush_timeout: Duration::from_secs(10),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let mut writer = connect_with_timeout(addr, Duration::from_secs(20));
+    writer.ingest_blocking(vec![record(0, "s0")]).unwrap();
+    writer.flush().unwrap();
+
+    // With the ingest queue paused, a queued batch never drains, so the
+    // writer's flush parks the only worker in its barrier.
+    server.ingest_queue().set_paused(true);
+    assert!(matches!(
+        writer.ingest_batch(vec![record(1, "s0")]).unwrap(),
+        IngestOutcome::Acked { .. }
+    ));
+    // The worker has taken the flush once it has decoded its frame.
+    let decoded = || engine.metrics_registry().frame_decode_snapshot().count;
+    let before = decoded();
+    send_frames(&mut writer, &[WireRequest::Flush]);
+    while decoded() == before {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // A second connection's vets are answered by the loop thread, well
+    // inside a read timeout far shorter than the flush's bound.
+    let mut auditor = connect_with_timeout(addr, Duration::from_secs(3));
+    for _ in 0..32 {
+        let vet = auditor
+            .request(&AuditRequest::VetValue {
+                value: value("item0"),
+                pattern: "any".into(),
+            })
+            .expect("a vet answered while the only worker is parked");
+        assert!(matches!(
+            vet.outcome,
+            AuditOutcome::Vetted { verdict: true, .. }
+        ));
+    }
+
+    // Unparking the queue lets the flush finish with both records.
+    server.ingest_queue().set_paused(false);
+    match writer.receive_response().unwrap() {
+        WireResponse::Flushed { ingested, .. } => assert_eq!(ingested, 2),
+        other => panic!("expected the parked flush's answer, got {:?}", other),
+    }
+    drop((writer, auditor));
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn inline_budget_hands_a_long_burst_to_a_worker_and_keeps_its_order() {
+    let dir = temp_dir("inline-budget");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    engine.register_pattern("any", Pattern::Any);
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let mut client = connect_with_timeout(server.local_addr(), Duration::from_secs(20));
+    let records: Vec<ProvenanceRecord> =
+        (0..64u64).map(|i| record(i, &format!("s{}", i))).collect();
+    client.ingest_blocking(records).unwrap();
+    client.flush().unwrap();
+
+    // 2,048 point reads in one burst: one loop turn's inline budget
+    // answers only a slice of it, so the rest goes to a worker, and the
+    // loop takes the connection back once that job is done.  Each slot's
+    // answer must be the in-process engine's answer to the same request.
+    let requests: Vec<AuditRequest> = (0..2048u64)
+        .map(|i| {
+            if i % 2 == 0 {
+                AuditRequest::OriginOf {
+                    value: value(&format!("item{}", i % 64)),
+                }
+            } else {
+                AuditRequest::VetValue {
+                    value: value(&format!("item{}", (i * 7) % 64)),
+                    pattern: "any".into(),
+                }
+            }
+        })
+        .collect();
+    let responses = client.pipeline(&requests).unwrap();
+    assert_eq!(responses.len(), requests.len());
+    for (slot, (request, response)) in requests.iter().zip(&responses).enumerate() {
+        assert_eq!(
+            response.outcome,
+            engine.handle(request).outcome,
+            "slot {}",
+            slot
+        );
     }
     drop(client);
     server.shutdown().unwrap();

@@ -265,3 +265,66 @@ fn hot_reloads_never_drop_a_wire_vet() {
     server.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn a_depth_bomb_pack_is_rejected_and_the_server_keeps_serving() {
+    let dir = temp_dir("bomb");
+    let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+    let server =
+        AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let mut bystander = AuditClient::connect(addr).unwrap();
+    bystander.ingest_blocking(vec![record(1, "s0")]).unwrap();
+    bystander.flush().unwrap();
+    assert!(matches!(
+        bystander.load_pack(&pack(0)).unwrap(),
+        PackLoadOutcome::Loaded { .. }
+    ));
+
+    // 100,000 nested parentheses: a ~200 KB frame that would overflow any
+    // dispatch worker's stack if the pattern parser followed it down.
+    let levels = 100_000;
+    let bomb = PackSource::new(
+        "bomb",
+        vec![PackFile::new(
+            "deep.ppol",
+            format!(
+                "policy deep = {}Any{}\n",
+                "(".repeat(levels),
+                ")".repeat(levels)
+            ),
+        )],
+    );
+    let mut attacker = AuditClient::connect(addr).unwrap();
+    match attacker.load_pack(&bomb).unwrap() {
+        PackLoadOutcome::Rejected { diagnostics } => {
+            assert_eq!(diagnostics.len(), 1, "{:?}", diagnostics);
+            assert_eq!(diagnostics[0].path, "deep.ppol");
+            assert_eq!(diagnostics[0].line, 1);
+            assert!(
+                diagnostics[0].message.contains("nests more than"),
+                "{:?}",
+                diagnostics[0]
+            );
+        }
+        other => panic!("expected the bomb to be rejected, got {:?}", other),
+    }
+
+    // Nothing changed, and everyone, the attacker included, is served.
+    let vetted = bystander
+        .request(&AuditRequest::VetValue {
+            value: value("item1"),
+            pattern: VENDOR_ONLY.into(),
+        })
+        .unwrap();
+    assert!(matches!(
+        vetted.outcome,
+        AuditOutcome::Vetted { verdict: true, .. }
+    ));
+    assert_eq!(vetted.pack_version, 1);
+    assert_eq!(attacker.list_policies().unwrap().version, 1);
+
+    drop((bystander, attacker));
+    server.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
