@@ -203,13 +203,13 @@ impl Pattern {
         Pattern::Star(Box::new(self))
     }
 
-    /// Builds the sequence `π₁; π₂; …; πₙ` (right-associated).  The empty
-    /// list yields [`Pattern::Empty`].
+    /// Builds the sequence `π₁; π₂; …; πₙ`, left-associated as the
+    /// parser builds it.  The empty list yields [`Pattern::Empty`].
     pub fn sequence(patterns: Vec<Pattern>) -> Self {
-        let mut iter = patterns.into_iter().rev();
+        let mut iter = patterns.into_iter();
         match iter.next() {
             None => Pattern::Empty,
-            Some(last) => iter.fold(last, |acc, p| p.then(acc)),
+            Some(first) => iter.fold(first, Pattern::then),
         }
     }
 
@@ -279,8 +279,15 @@ impl fmt::Display for Pattern {
             Pattern::Empty => write!(f, "eps"),
             Pattern::Any => write!(f, "Any"),
             Pattern::Event(e) => write!(f, "{}", e),
-            Pattern::Seq(a, b) => write!(f, "{}; {}", DisplaySeqChild(a), DisplaySeqChild(b)),
-            Pattern::Alt(a, b) => write!(f, "{} | {}", DisplayAltChild(a), DisplayAltChild(b)),
+            Pattern::Seq(a, b) => write!(
+                f,
+                "{}; {}",
+                Operand(a, matches!(**a, Pattern::Alt(..))),
+                Operand(b, matches!(**b, Pattern::Alt(..) | Pattern::Seq(..)))
+            ),
+            Pattern::Alt(a, b) => {
+                write!(f, "{} | {}", a, Operand(b, matches!(**b, Pattern::Alt(..))))
+            }
             // Always parenthesise the repeated body so that the output
             // re-parses unambiguously (`(a!Any)*` vs `a!Any*`, where the
             // latter attaches the star to the nested channel pattern).
@@ -289,20 +296,19 @@ impl fmt::Display for Pattern {
     }
 }
 
-struct DisplaySeqChild<'a>(&'a Pattern);
-impl<'a> fmt::Display for DisplaySeqChild<'a> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self.0 {
-            Pattern::Alt(_, _) => write!(f, "({})", self.0),
-            _ => write!(f, "{}", self.0),
-        }
-    }
-}
+/// An operand of `;` or `|`, parenthesised when the flag says so: a `|`
+/// under `;`, which binds tighter, and a right-hand operand of the same
+/// operator, since the parser chains both to the left.  So the text
+/// re-parses to the same tree, and nests exactly as deep as it.
+struct Operand<'a>(&'a Pattern, bool);
 
-struct DisplayAltChild<'a>(&'a Pattern);
-impl<'a> fmt::Display for DisplayAltChild<'a> {
+impl<'a> fmt::Display for Operand<'a> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
+        if self.1 {
+            write!(f, "({})", self.0)
+        } else {
+            write!(f, "{}", self.0)
+        }
     }
 }
 

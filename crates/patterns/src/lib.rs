@@ -254,23 +254,10 @@ mod proptests {
 
         #[test]
         fn display_parse_round_trip(pattern in arb_pattern(2)) {
-            let printed = pattern.to_string();
-            let reparsed = parse::parse_pattern(&printed).unwrap();
-            // Semantically equal: check on a few provenances (structural
-            // equality can differ because display flattens parentheses).
-            let compiled_a = CompiledPattern::compile(&pattern);
-            let compiled_b = CompiledPattern::compile(&reparsed);
-            let samples = [
-                Provenance::empty(),
-                Provenance::single(Event::output(Principal::new("a"), Provenance::empty())),
-                Provenance::from_events(vec![
-                    Event::input(Principal::new("b"), Provenance::empty()),
-                    Event::output(Principal::new("a"), Provenance::empty()),
-                ]),
-            ];
-            for s in &samples {
-                prop_assert_eq!(compiled_a.matches(s), compiled_b.matches(s));
-            }
+            // Display parenthesises exactly where the parser's
+            // associativity needs it, so the text re-parses to the tree.
+            let reparsed = parse::parse_pattern(&pattern.to_string()).unwrap();
+            prop_assert_eq!(reparsed, pattern);
         }
 
         #[test]

@@ -656,6 +656,14 @@ mod tests {
             ("parentheses", nest("(", "Any", ")", levels - 1)),
             ("sequence", vec!["Any"; levels].join("; ")),
             ("alternation", vec!["Any"; levels].join(" | ")),
+            (
+                "two sequences in sequence",
+                format!("({0}); ({0})", vec!["Any"; levels - 1].join("; ")),
+            ),
+            (
+                "two alternations in alternation",
+                format!("({0}) | ({0})", vec!["Any"; levels - 1].join(" | ")),
+            ),
             ("stars", format!("Any{}", "*".repeat(levels - 1))),
             ("starred parentheses", nest("(", "Any", ")*", levels - 1)),
             ("events", format!("{}Any", "a!".repeat(levels - 1))),

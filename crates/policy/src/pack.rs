@@ -738,21 +738,25 @@ mod tests {
         assert!(rendered.files[1].source.contains("package pack::derived"));
 
         let repack = PolicyPack::compile(&rendered).unwrap();
-        assert_eq!(repack, pack.clone().normalized_for_comparison());
+        assert_eq!(repack, pack);
         assert_eq!(repack.render(), rendered);
     }
 
-    impl PolicyPack {
-        /// Render comparison helper: after one render+recompile the
-        /// *patterns* may differ structurally (display flattens
-        /// parenthesisation) while agreeing textually, so compare on
-        /// names, packages and canonical sources.
-        fn normalized_for_comparison(mut self) -> PolicyPack {
-            for def in &mut self.policies {
-                def.pattern = parse_pattern(&def.source).expect("canonical sources reparse");
-            }
-            self
-        }
+    #[test]
+    fn canonical_sources_nest_exactly_as_deep_as_their_patterns() {
+        // Two 150-step chains in sequence are 151 levels deep, well
+        // inside the nesting cap; flattened into one 300-step chain, their
+        // canonical text would not be, and neither `@p` nor the rendered
+        // pack would compile.
+        let chain = vec!["a!Any"; 150].join("; ");
+        let pack = PolicyPack::compile(&one_file(&format!(
+            "policy p = ({chain}); ({chain})\npolicy q = @p | eps\n"
+        )))
+        .unwrap();
+        let rendered = pack.render();
+        let repack = PolicyPack::compile(&rendered).unwrap();
+        assert_eq!(repack, pack);
+        assert_eq!(repack.render(), rendered);
     }
 
     #[test]

@@ -189,25 +189,17 @@ pub fn request_kind(request: &WireRequest) -> RequestKind {
 /// [`encode_ingest_batch`] writes it without building the enum.
 const REQ_INGEST: u8 = 2;
 
-// Tags [`is_point_read`] reads off an undecoded body.
+// Tags [`is_vet`] reads off an undecoded body.
 const REQ_AUDIT: u8 = 1;
-const REQ_STATS: u8 = 4;
-const REQ_LIST_POLICIES: u8 = 8;
 const AUDIT_VET: u8 = 1;
-const AUDIT_ORIGIN: u8 = 4;
 
-/// Whether an encoded request body is a point read — `VetValue`,
-/// `OriginOf`, `Stats` or `ListPolicies` — judged from its header bytes
-/// `[version][request tag][audit tag]` alone, without decoding it.  The
-/// event loop answers point reads on its own thread; everything else,
-/// including a body too short or too foreign to classify, goes to a
-/// dispatch worker.
-pub(crate) fn is_point_read(body: &[u8]) -> bool {
-    matches!(
-        body,
-        [WIRE_VERSION, REQ_AUDIT, AUDIT_VET | AUDIT_ORIGIN, ..]
-            | [WIRE_VERSION, REQ_STATS | REQ_LIST_POLICIES, ..]
-    )
+/// Whether an encoded request body is a `VetValue`, judged from its
+/// header bytes `[version][request tag][audit tag]` alone, without
+/// decoding it.  The event loop answers vets on its own thread;
+/// everything else, including a body too short or too foreign to
+/// classify, goes to a dispatch worker.
+pub(crate) fn is_vet(body: &[u8]) -> bool {
+    matches!(body, [WIRE_VERSION, REQ_AUDIT, AUDIT_VET, ..])
 }
 
 /// Field tag of the optional trace field after a request's payload.
@@ -555,11 +547,11 @@ wire_enum! {
         REQ_AUDIT => Audit(audit),
         REQ_INGEST => IngestBatch(records),
         3 => Flush,
-        REQ_STATS => Stats,
+        4 => Stats,
         5 => Metrics,
         6 => Traces { min_total_ns },
         7 => LoadPack(pack),
-        REQ_LIST_POLICIES => ListPolicies,
+        8 => ListPolicies,
     }
 }
 
@@ -568,7 +560,7 @@ wire_enum! {
         AUDIT_VET => VetValue { value, pattern },
         2 => AuditTrail { value },
         3 => WhoTouched { principal },
-        AUDIT_ORIGIN => OriginOf { value },
+        4 => OriginOf { value },
         5 => Why { value, pattern },
         6 => Counterfactual { value, pattern, remove },
     }
@@ -934,7 +926,7 @@ mod tests {
     /// so a renumbered tag fails here instead of silently inlining a
     /// `Flush`.
     #[test]
-    fn the_point_read_check_agrees_with_the_encoder_on_every_request_kind() {
+    fn the_vet_check_agrees_with_the_encoder_on_every_request_kind() {
         let v = Value::Channel(Channel::new("v"));
         let table = [
             (
@@ -946,10 +938,10 @@ mod tests {
             ),
             (
                 WireRequest::Audit(AuditRequest::OriginOf { value: v.clone() }),
-                true,
+                false,
             ),
-            (WireRequest::Stats, true),
-            (WireRequest::ListPolicies, true),
+            (WireRequest::Stats, false),
+            (WireRequest::ListPolicies, false),
             (
                 WireRequest::Audit(AuditRequest::AuditTrail { value: v.clone() }),
                 false,
@@ -998,18 +990,18 @@ mod tests {
         };
         for (request, inline) in &table {
             let body = encode_request(request);
-            assert_eq!(is_point_read(&body), *inline, "{:?}", request);
+            assert_eq!(is_vet(&body), *inline, "{:?}", request);
             let traced = append_request_trace(&body, &trace);
-            assert_eq!(is_point_read(&traced), *inline, "traced {:?}", request);
+            assert_eq!(is_vet(&traced), *inline, "traced {:?}", request);
         }
         // A foreign version or a body cut short of its tags is never
         // answered inline; the worker's decode names the fault.
         let vet = encode_request(&table[0].0);
         let mut foreign = vet.to_vec();
         foreign[0] = WIRE_VERSION + 1;
-        assert!(!is_point_read(&foreign));
-        assert!(!is_point_read(&vet[..2]));
-        assert!(!is_point_read(&[]));
+        assert!(!is_vet(&foreign));
+        assert!(!is_vet(&vet[..2]));
+        assert!(!is_vet(&[]));
     }
 
     #[test]

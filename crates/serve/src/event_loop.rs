@@ -4,7 +4,7 @@
 //! [`crate::poll`]), and every connection's state machine:
 //!
 //! ```text
-//!                           ┌─► point read: decode ► handle ► encode ───┐
+//!                           ┌─► vet: decode ► handle ► encode ──────────┐
 //!                           │   (loop thread, run to completion)        │
 //! read-accumulate ► carve ──┤                                           ├─► write-drain
 //!       ▲    (loop)         └─► anything else: decode ► handle ► encode ┘        │
@@ -16,25 +16,25 @@
 //! per-connection buffer, carves complete frames out of it with
 //! [`crate::wire::try_parse_frame`], and drains each connection's
 //! outbound buffer (partial writes re-arm `EPOLLOUT`).  It also answers
-//! **point reads** itself: when a connection has no dispatch job in
-//! flight, the loop runs the leading `VetValue`, `OriginOf`, `Stats` and
-//! `ListPolicies` frames of its queue through
+//! **vets** itself: when a connection has no dispatch job in flight, the
+//! loop runs the leading `VetValue` frames of its queue through
 //! [`crate::server::serve_frame`] and encodes the answers straight into
 //! the connection's outbound buffer.  A memo-warm vet costs a few
 //! microseconds, less than the two thread handoffs a worker round trip
-//! adds.  The loop tells a point read by its header bytes alone
-//! ([`crate::codec::is_point_read`]), and two bounds keep one connection
-//! from holding the loop: it stops at the connection's first frame that
-//! is not a point read, and once [`INLINE_BUDGET`] of this turn has gone
-//! to that connection.
+//! adds.  The loop tells a vet by its header bytes alone
+//! ([`crate::codec::is_vet`]), and two bounds keep one connection from
+//! holding the loop: it stops at the connection's first frame that is
+//! not a vet, and once [`INLINE_BUDGET`] of this turn has gone to that
+//! connection.
 //!
 //! Every other frame, and every frame behind it, goes to a small
-//! **dispatch worker pool** as one job per connection: audit trails and
-//! who-touched answers (which grow with history), why-slices,
-//! counterfactuals, ingest, flush barriers, pack loads, metrics, traces
-//! and HTTP heads.  At most one dispatch job per connection is in flight,
-//! a job answers its frames in order, and a frame is answered inline only
-//! when no earlier frame of its connection is pending or in flight.  So
+//! **dispatch worker pool** as one job per connection: origin, audit-trail
+//! and who-touched answers (which grow with history), why-slices,
+//! counterfactuals, ingest, flush barriers, stats, policy listings (which
+//! grow with the policies' source), pack loads, metrics, traces and HTTP
+//! heads.  At most one dispatch job per connection is in flight, a job
+//! answers its frames in order, and a frame is answered inline only when
+//! no earlier frame of its connection is pending or in flight.  So
 //! pipelining keeps the wire contract: responses strictly in request
 //! order per connection.
 //!
@@ -57,7 +57,7 @@
 //!   past that bound is closed with a best-effort `ServerError{"idle
 //!   timeout"}` frame.
 
-use crate::codec::{encode_response, is_point_read, WireResponse};
+use crate::codec::{encode_response, is_vet, WireResponse};
 use crate::poll::{Epoll, WakeFd, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use crate::server::{
     contains_blank_line, http_response, http_response_for, serve_frame, PendingTrace, Services,
@@ -92,9 +92,9 @@ const STALL_TIMEOUT: Duration = Duration::from_secs(2);
 /// watching.
 const SWEEP_TICK: Duration = Duration::from_millis(200);
 
-/// How long one turn of the loop answers one connection's point reads
-/// before it hands the rest of that connection's frames to a worker.
-/// This bounds how long a pipelined burst, or one memo-cold deep vet
+/// How long one turn of the loop answers one connection's vets before
+/// it hands the rest of that connection's frames to a worker.  This
+/// bounds how long a pipelined burst, or one memo-cold deep vet
 /// past it, can keep the loop from every other connection.
 const INLINE_BUDGET: Duration = Duration::from_micros(100);
 
@@ -417,7 +417,7 @@ impl Loop {
         }
     }
 
-    /// The connection state machine: parse → serve point reads inline →
+    /// The connection state machine: parse → serve vets inline →
     /// dispatch → error/EOF → flush → close, in a fixed order so every
     /// path converges.
     fn advance(&mut self, token: u64) {
@@ -428,8 +428,8 @@ impl Loop {
         if !closing {
             parse_available(conn, self.services.config.limits.max_frame_len);
             // With the connection's single job slot free, answer its
-            // leading point reads here, then dispatch the rest of its
-            // complete frames (or a complete HTTP head).
+            // leading vets here, then dispatch the rest of its complete
+            // frames (or a complete HTTP head).
             if !conn.in_flight {
                 if let Some(head) = take_complete_http_head(conn) {
                     conn.in_flight = true;
@@ -773,20 +773,20 @@ fn flush_outbound(conn: &mut Conn, out: &Arc<Mutex<Outbound>>, collector: &Trace
     }
 }
 
-/// Run to completion: answers the leading point reads of `conn.pending`
-/// on the loop thread, stopping at the first frame that is not one or
-/// once [`INLINE_BUDGET`] is spent.  The caller has checked that no job
+/// Run to completion: answers the leading vets of `conn.pending` on the
+/// loop thread, stopping at the first frame that is not one or once
+/// [`INLINE_BUDGET`] is spent.  The caller has checked that no job
 /// of this connection is in flight, so these are its earliest unanswered
 /// frames.  Returns whether a frame failed to decode, closing the
 /// connection.
 fn serve_inline(conn: &mut Conn, out: &Mutex<Outbound>, services: &Services) -> bool {
-    // The budget's clock starts at the first point read.
+    // The budget's clock starts at the first vet.
     let mut started = None;
-    let point_reads = std::iter::from_fn(|| {
+    let vets = std::iter::from_fn(|| {
         let inline = conn
             .pending
             .front()
-            .is_some_and(|frame| is_point_read(&frame.body))
+            .is_some_and(|frame| is_vet(&frame.body))
             && started.get_or_insert_with(Instant::now).elapsed() < INLINE_BUDGET;
         if inline {
             conn.pending.pop_front()
@@ -794,7 +794,7 @@ fn serve_inline(conn: &mut Conn, out: &Mutex<Outbound>, services: &Services) -> 
             None
         }
     });
-    serve_frames(point_reads, services, out)
+    serve_frames(vets, services, out)
 }
 
 /// The one batch pipeline, shared by the loop's inline path and the
@@ -871,6 +871,11 @@ fn dispatch_loop(dispatch: &Dispatch, services: &Services) {
         };
         let token = match job {
             Job::Frames { token, frames, out } => {
+                #[cfg(test)]
+                services
+                    .hooks
+                    .dispatched_frames
+                    .fetch_add(frames.len(), Ordering::Relaxed);
                 serve_frames(frames.into_iter(), services, &out);
                 token
             }
@@ -901,19 +906,41 @@ mod tests {
     use crate::server::{PANIC_PATTERN, REQUEST_PANIC_MESSAGE};
     use crate::wire::write_frame;
     use crate::{AuditClient, AuditServer, ServeConfig, WireRequest, WireResponse};
-    use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest};
+    use piprov_audit::{AuditEngine, AuditOutcome, AuditRequest, EventFilter};
     use piprov_core::name::{Channel, Principal};
     use piprov_core::provenance::{Event, Provenance};
     use piprov_core::value::Value;
     use piprov_patterns::Pattern;
+    use piprov_policy::PackSource;
     use piprov_store::{Operation, ProvenanceRecord};
     use std::io::{Read, Write};
     use std::net::{SocketAddr, TcpStream};
+    use std::sync::atomic::Ordering;
     use std::sync::Arc;
     use std::time::Duration;
 
     fn item() -> Value {
         Value::Channel(Channel::new("item0"))
+    }
+
+    /// An engine in a fresh directory named after `test`, with the
+    /// pattern `any` and one record for each of `item0`..`item{n-1}`.
+    fn engine_with_items(test: &str, n: u64) -> (Arc<AuditEngine>, std::path::PathBuf) {
+        let dir =
+            std::env::temp_dir().join(format!("piprov-serve-{}-{}", test, std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = Arc::new(AuditEngine::open(&dir).unwrap());
+        engine.register_pattern("any", Pattern::Any);
+        let records = (0..n)
+            .map(|i| {
+                let who = Principal::new(format!("s{}", i));
+                let k = Provenance::single(Event::output(who.clone(), Provenance::empty()));
+                let value = Value::Channel(Channel::new(format!("item{}", i)));
+                ProvenanceRecord::new(i, who.as_str(), Operation::Send, "m", value, k)
+            })
+            .collect();
+        engine.ingest_batch(records).unwrap();
+        (engine, dir)
     }
 
     fn vet(pattern: &str) -> AuditRequest {
@@ -1069,6 +1096,115 @@ mod tests {
         }
         assert!(http_get(addr, "/healthz").starts_with("HTTP/1.1 200 OK"));
         drop((client, fresh, side));
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every request kind but a vet is answered by a worker, so however
+    /// long its answer takes, even one whose handler never returns, it
+    /// holds that worker and not the loop: another connection's vet is
+    /// still answered.  Origin, audit-trail, who-touched, stats and
+    /// policy-listing answers grow with the data they report on.
+    #[test]
+    fn a_slow_answer_of_any_other_kind_never_delays_another_connections_vet() {
+        let (engine, dir) = engine_with_items("slow-answer", 1);
+        let server = AuditServer::bind(
+            Arc::clone(&engine),
+            "127.0.0.1:0",
+            ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            },
+        )
+        .unwrap();
+        let addr = server.local_addr();
+        let who = Principal::new("s0");
+        let requests = [
+            WireRequest::Audit(AuditRequest::OriginOf { value: item() }),
+            WireRequest::Audit(AuditRequest::AuditTrail { value: item() }),
+            WireRequest::Audit(AuditRequest::WhoTouched {
+                principal: who.clone(),
+            }),
+            WireRequest::Audit(why("any")),
+            WireRequest::Audit(AuditRequest::Counterfactual {
+                value: item(),
+                pattern: "any".into(),
+                remove: EventFilter::Principal(who),
+            }),
+            WireRequest::Stats,
+            WireRequest::ListPolicies,
+            WireRequest::Metrics,
+            WireRequest::Traces { min_total_ns: 0 },
+            WireRequest::IngestBatch(Vec::new()),
+            WireRequest::Flush,
+            // Last: an empty pack unregisters the pattern the vets name.
+            WireRequest::LoadPack(PackSource::new("pack", Vec::new())),
+        ];
+        let mut slow = connect(addr);
+        let mut auditor = connect(addr);
+        let decoded = || engine.metrics_registry().frame_decode_snapshot().count;
+        for request in requests {
+            // Park the request in its handler: the thread serving it has
+            // decoded its frame and never returns until unparked.
+            server.hooks().set_parked(true);
+            let before = decoded();
+            let mut frame = Vec::new();
+            write_frame(&mut frame, &encode_request(&request)).unwrap();
+            slow.send_raw(&frame).unwrap();
+            while decoded() == before {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let vet = auditor.request(&vet("any"));
+            server.hooks().set_parked(false);
+            let vet = vet.unwrap_or_else(|e| panic!("a vet behind a parked {:?}: {}", request, e));
+            assert!(
+                matches!(vet.outcome, AuditOutcome::Vetted { verdict: true, .. }),
+                "a vet behind a parked {:?}: {:?}",
+                request,
+                vet.outcome
+            );
+            slow.receive_response().unwrap();
+        }
+        drop((slow, auditor));
+        server.shutdown().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A burst far longer than one turn's [`INLINE_BUDGET`] is split: the
+    /// loop answers its head, a worker the rest, and every answer still
+    /// lands in its own slot.
+    #[test]
+    fn inline_budget_hands_a_long_burst_to_a_worker_in_order() {
+        let items = 64;
+        let (engine, dir) = engine_with_items("inline-budget", items);
+        let server =
+            AuditServer::bind(Arc::clone(&engine), "127.0.0.1:0", ServeConfig::default()).unwrap();
+        let mut client = connect(server.local_addr());
+        let burst: Vec<AuditRequest> = (0..2048u64)
+            .map(|i| AuditRequest::VetValue {
+                value: Value::Channel(Channel::new(format!("item{}", (i * 7) % items))),
+                pattern: "any".into(),
+            })
+            .collect();
+        let dispatched = || server.hooks().dispatched_frames.load(Ordering::Relaxed);
+        let before = dispatched();
+        let answers = pipelined(&mut client, &burst);
+        let by_workers = dispatched() - before;
+        for (slot, (request, answer)) in burst.iter().zip(&answers).enumerate() {
+            assert_eq!(
+                outcome(answer),
+                &engine.handle(request).outcome,
+                "slot {}",
+                slot
+            );
+        }
+        assert!(
+            by_workers > 0 && by_workers < burst.len(),
+            "workers served {} of {} vets",
+            by_workers,
+            burst.len()
+        );
+        drop(client);
         server.shutdown().unwrap();
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -2,12 +2,11 @@
 //!
 //! [`AuditServer::bind`] starts the serving core (the `event_loop`
 //! module): one thread owns the listener and every connection on Linux
-//! `epoll`.  That thread answers point reads (`VetValue`, `OriginOf`,
-//! `Stats` and `ListPolicies`) itself, and a small dispatch worker pool
-//! answers everything else.  Both run each frame through one per-frame
-//! pipeline — decode, handle against the engine's lock-free MVCC read
-//! path, encode.  Thousands of idle connections cost only their
-//! registered fds.
+//! `epoll`.  That thread answers vets (`VetValue`) itself, and a small
+//! dispatch worker pool answers everything else.  Both run each frame
+//! through one per-frame pipeline — decode, handle against the engine's
+//! lock-free MVCC read path, encode.  Thousands of idle connections cost
+//! only their registered fds.
 //!
 //! Within a connection, requests are **pipelined**: frames are answered
 //! strictly in arrival order, so a client may write many requests before
@@ -56,15 +55,14 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
     /// The size of the dispatch worker pool.  Workers answer every frame
-    /// the event loop does not answer itself: audit trails, who-touched,
-    /// why and counterfactual queries, ingest, `Flush` barriers, pack
-    /// loads, metrics, traces and HTTP scrapes, plus any point read
-    /// queued behind one of those or past the loop's per-turn budget.
-    /// The loop thread answers the other point reads (`VetValue`,
-    /// `OriginOf`, `Stats` and `ListPolicies`), so vets keep being
-    /// answered while every worker is parked in a `Flush`.  Connections
-    /// themselves are not bounded by threads; an idle one costs only its
-    /// fd.
+    /// the event loop does not answer itself: origin, audit-trail,
+    /// who-touched, why and counterfactual queries, ingest, `Flush`
+    /// barriers, stats, policy listings, pack loads, metrics, traces and
+    /// HTTP scrapes, plus any vet queued behind one of those or past the
+    /// loop's per-turn budget.  The loop thread answers the other vets,
+    /// so vets keep being answered while every worker is parked in a
+    /// `Flush`.  Connections themselves are not bounded by threads; an
+    /// idle one costs only its fd.
     pub workers: usize,
     /// Capacity of the bounded ingest queue, in batches; overflow answers
     /// [`WireResponse::Busy`].
@@ -122,6 +120,30 @@ fn panic_if_asked(pattern: &str) {
     }
 }
 
+/// One server's instruments for the unit tests: a gate that parks every
+/// request but a vet in its handler, and a count of the frames dispatch
+/// workers have served.
+#[cfg(test)]
+#[derive(Debug, Default)]
+pub(crate) struct TestHooks {
+    parked: std::sync::Mutex<bool>,
+    unparked: std::sync::Condvar,
+    pub(crate) dispatched_frames: std::sync::atomic::AtomicUsize,
+}
+
+#[cfg(test)]
+impl TestHooks {
+    pub(crate) fn set_parked(&self, parked: bool) {
+        *self.parked.lock().unwrap() = parked;
+        self.unparked.notify_all();
+    }
+
+    fn wait_while_parked(&self) {
+        let parked = self.parked.lock().unwrap();
+        drop(self.unparked.wait_while(parked, |p| *p).unwrap());
+    }
+}
+
 /// What serving a frame needs, shared by the event loop and its dispatch
 /// workers.
 #[derive(Debug)]
@@ -130,6 +152,8 @@ pub(crate) struct Services {
     pub(crate) queue: Arc<IngestQueue>,
     pub(crate) collector: Arc<TraceCollector>,
     pub(crate) config: ServeConfig,
+    #[cfg(test)]
+    pub(crate) hooks: TestHooks,
 }
 
 /// A running cross-process audit server.
@@ -170,6 +194,8 @@ impl AuditServer {
             queue,
             collector,
             config,
+            #[cfg(test)]
+            hooks: TestHooks::default(),
         });
         let core = EventLoopHandle::start(listener, Arc::clone(&services))?;
         Ok(AuditServer {
@@ -178,6 +204,11 @@ impl AuditServer {
             core,
             stopped: false,
         })
+    }
+
+    #[cfg(test)]
+    pub(crate) fn hooks(&self) -> &TestHooks {
+        &self.services.hooks
     }
 
     /// The bound address (with the OS-assigned port when bound to port 0).
@@ -513,11 +544,16 @@ fn handle_request(
     {
         panic_if_asked(pattern);
     }
+    #[cfg(test)]
+    if !matches!(request, WireRequest::Audit(AuditRequest::VetValue { .. })) {
+        services.hooks.wait_while_parked();
+    }
     let Services {
         engine,
         queue,
         collector,
         config,
+        ..
     } = services;
     let response = match request {
         WireRequest::Audit(audit) => {
